@@ -42,11 +42,18 @@ core::CampaignResult run_workload(const Workload& workload,
 }
 
 std::size_t bench_samples(std::size_t default_samples) {
-  if (const char* env = std::getenv("SCE_BENCH_SAMPLES")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
+  const char* env = std::getenv("SCE_BENCH_SAMPLES");
+  if (!env || !*env) return default_samples;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  // Below 4 the TVLA screen refuses to run and a two-sample t-test has
+  // no variance to work with.
+  if (*end != '\0' || v < 4) {
+    std::fprintf(stderr,
+                 "SCE_BENCH_SAMPLES=%s: must be an integer >= 4\n", env);
+    std::exit(2);
   }
-  return default_samples;
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace sce::bench

@@ -31,6 +31,7 @@ core::CampaignResult run_workload(
 
 /// Samples per category used by the paper-artifact benches; override with
 /// the SCE_BENCH_SAMPLES environment variable (smaller = faster smoke run).
+/// A value that is not an integer >= 4 exits with status 2.
 std::size_t bench_samples(std::size_t default_samples = 100);
 
 }  // namespace sce::bench

@@ -8,6 +8,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/acquisition.hpp"
 #include "core/acquisition_keys.hpp"
 #include "core/checkpoint.hpp"
 #include "nn/plan.hpp"
@@ -72,6 +73,49 @@ StopReason parse_stop_reason(const std::string& name) {
     if (to_string(r) == name) return r;
   throw InvalidArgument("campaign: unknown stop reason \"" + name + "\"");
 }
+
+namespace acquisition {
+
+CategoryPools category_pools(const data::Dataset& dataset,
+                             const std::vector<int>& categories,
+                             std::size_t per_category, bool allow_image_reuse,
+                             const std::string& domain) {
+  CategoryPools out;
+  for (int label : categories) {
+    if (label < 0 || static_cast<std::size_t>(label) >= dataset.num_classes())
+      throw InvalidArgument(domain + ": category label out of range");
+    out.names.push_back(dataset.class_names()[static_cast<std::size_t>(label)]);
+    out.pools.push_back(dataset.examples_of(label));
+    if (out.pools.back().empty())
+      throw InvalidArgument(domain + ": no examples of category " +
+                            std::to_string(label));
+    if (out.pools.back().size() < per_category && !allow_image_reuse)
+      throw InvalidArgument(domain + ": not enough images of category " +
+                            std::to_string(label));
+  }
+  return out;
+}
+
+util::CancelToken run_token(const util::CancelToken& parent,
+                            std::chrono::milliseconds deadline) {
+  util::CancelToken token = parent.child();
+  if (deadline > std::chrono::milliseconds::zero())
+    token.set_deadline_after(deadline);
+  return token;
+}
+
+StopReason stop_reason_of(const util::CancelToken& token) {
+  switch (token.reason()) {
+    case util::CancelReason::kDeadline:
+      return StopReason::kDeadline;
+    case util::CancelReason::kStalled:
+      return StopReason::kShardStalled;
+    default:
+      return StopReason::kCancelled;
+  }
+}
+
+}  // namespace acquisition
 
 void CampaignConfig::validate() const {
   if (categories.empty())
@@ -167,19 +211,11 @@ double CampaignResult::mean(hpc::HpcEvent event,
 
 namespace {
 
-using Pools = std::vector<std::vector<const data::Example*>>;
-
 // Measurement keys come from core/acquisition_keys.hpp so the replay
 // sweep (sweep.cpp) keys its replayed measurements identically.
+using acquisition::InputPools;
 using acquisition::slot_key;
 using acquisition::warmup_key;
-
-std::uint64_t global_slot(const CampaignConfig& cfg, std::size_t c,
-                          std::size_t s) {
-  return acquisition::global_slot(cfg.interleave_categories,
-                                  cfg.categories.size(),
-                                  cfg.samples_per_category, c, s);
-}
 
 /// One shard's private acquisition state.  Nothing in here is touched by
 /// more than one thread at a time: workers own it during a chunk, the
@@ -254,7 +290,7 @@ struct ShardState {
 /// the optional watchdog the executing lane must beat.
 struct ChunkContext {
   const CampaignConfig& cfg;
-  const Pools& pools;
+  const InputPools& pools;
   util::CancelToken token;
   util::Watchdog* watchdog = nullptr;
 };
@@ -329,7 +365,9 @@ bool acquire_slot(ShardState& work, ShardState& rig, const ChunkContext& ctx,
                   std::size_t c) {
   const CampaignConfig& cfg = ctx.cfg;
   const std::size_t s = work.cursor[c];
-  const std::uint64_t slot = global_slot(cfg, c, s);
+  const std::uint64_t slot =
+      acquisition::global_slot(cfg.interleave_categories, ctx.pools.size(),
+                               cfg.samples_per_category, c, s);
   std::size_t transient_attempts = 0;
   std::size_t invalid_attempts = 0;
   std::size_t outlier_retries = 0;
@@ -509,31 +547,15 @@ Campaign& Campaign::on_progress(ProgressCallback callback, std::size_t every) {
 
 CampaignResult Campaign::run() {
   config_.validate();
+  acquisition::CategoryPools in = acquisition::category_pools(
+      dataset_, config_.categories, config_.samples_per_category,
+      config_.allow_image_reuse, "campaign");
   CampaignResult result;
   result.categories = config_.categories;
-  for (int label : config_.categories) {
-    if (label < 0 ||
-        static_cast<std::size_t>(label) >= dataset_.num_classes())
-      throw InvalidArgument("campaign: category label out of range");
-    result.category_names.push_back(
-        dataset_.class_names()[static_cast<std::size_t>(label)]);
-  }
+  result.category_names = std::move(in.names);
   for (auto& per_event : result.samples)
     per_event.assign(config_.categories.size(), {});
-  return run_internal(std::move(result));
-}
-
-CampaignResult Campaign::resume_from(CampaignResult partial) {
-  config_.validate();
-  if (partial.categories != config_.categories)
-    throw InvalidArgument(
-        "campaign: resume state categories do not match config");
-  for (const auto& per_event : partial.samples)
-    if (per_event.size() != config_.categories.size())
-      throw InvalidArgument("campaign: resume state has wrong category count");
-  partial.diagnostics.resumed = true;
-  partial.diagnostics.complete = false;
-  return run_internal(std::move(partial));
+  return run_internal(config_, in.pools, std::move(result));
 }
 
 CampaignResult Campaign::resume(const CampaignCheckpoint& checkpoint) {
@@ -548,26 +570,28 @@ CampaignResult Campaign::resume(const CampaignCheckpoint& checkpoint) {
   util::log_info("campaign: resuming from checkpoint with ",
                  checkpoint.partial.diagnostics.measurements_recorded,
                  " recorded measurements");
-  return resume_from(checkpoint.partial);
+  config_.validate();
+  CampaignResult partial = checkpoint.partial;
+  if (partial.categories != config_.categories)
+    throw InvalidArgument(
+        "campaign: resume state categories do not match config");
+  for (const auto& per_event : partial.samples)
+    if (per_event.size() != config_.categories.size())
+      throw InvalidArgument("campaign: resume state has wrong category count");
+  partial.diagnostics.resumed = true;
+  partial.diagnostics.complete = false;
+  const acquisition::CategoryPools in = acquisition::category_pools(
+      dataset_, config_.categories, config_.samples_per_category,
+      config_.allow_image_reuse, "campaign");
+  return run_internal(config_, in.pools, std::move(partial));
 }
 
-CampaignResult Campaign::run_internal(CampaignResult result) {
-  const CampaignConfig& cfg = config_;
-  const std::size_t ncat = cfg.categories.size();
+CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
+                                      const InputPools& pools,
+                                      CampaignResult result) const {
+  const std::size_t ncat = pools.size();
   const std::size_t per_cat = cfg.samples_per_category;
   const std::size_t nshards = cfg.num_shards;
-
-  Pools pools;
-  for (std::size_t c = 0; c < ncat; ++c) {
-    const int label = cfg.categories[c];
-    pools.push_back(dataset_.examples_of(label));
-    if (pools.back().empty())
-      throw InvalidArgument("campaign: no examples of category " +
-                            std::to_string(label));
-    if (pools.back().size() < per_cat && !cfg.allow_image_reuse)
-      throw InvalidArgument("campaign: not enough images of category " +
-                            std::to_string(label));
-  }
 
   CampaignDiagnostics base = std::move(result.diagnostics);
   result.diagnostics = CampaignDiagnostics{};
@@ -720,12 +744,7 @@ CampaignResult Campaign::run_internal(CampaignResult result) {
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
 
-  // Supervision: the run executes under a child of the caller's token so
-  // an external cancel stops this run without consuming the caller's
-  // token for later runs, and the per-run deadline arms on the child.
-  util::CancelToken token = cfg.cancel.child();
-  if (cfg.deadline > std::chrono::milliseconds::zero())
-    token.set_deadline_after(cfg.deadline);
+  util::CancelToken token = acquisition::run_token(cfg.cancel, cfg.deadline);
 
   std::vector<std::size_t> stalled_lanes;
   std::mutex stalled_mutex;
@@ -1071,17 +1090,7 @@ CampaignResult Campaign::run_internal(CampaignResult result) {
   // checkpoint, and return Partial instead of throwing — interruption is
   // policy, not failure.
   if (total_remaining() > 0 && token.cancelled()) {
-    switch (token.reason()) {
-      case util::CancelReason::kDeadline:
-        stop_reason = StopReason::kDeadline;
-        break;
-      case util::CancelReason::kStalled:
-        stop_reason = StopReason::kShardStalled;
-        break;
-      default:
-        stop_reason = StopReason::kCancelled;
-        break;
-    }
+    stop_reason = acquisition::stop_reason_of(token);
     util::log_info("campaign: stopping (", to_string(stop_reason),
                    "): ", token.message());
     flush_checkpoint();

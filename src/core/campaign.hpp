@@ -240,8 +240,8 @@ struct CampaignDiagnostics {
   /// to the category's cell.  This is the merge map: a cell is the
   /// concatenation of its shards' segments in shard order, so with this
   /// matrix a partial result can be split back into per-shard state (how
-  /// checkpoint v2 resumes mid-parallel runs).  Serial results carry one
-  /// row.
+  /// a checkpoint resumes mid-parallel runs).  Serial results carry one
+  /// row; a one-row matrix resumes at any shard count.
   std::vector<std::vector<std::size_t>> shard_recorded;
 
   bool event_dropped(hpc::HpcEvent event) const;
@@ -331,17 +331,13 @@ class Campaign {
 
   /// Validate `checkpoint` against the config (categories, sample budget,
   /// schedule, kernel mode, shard layout) and continue acquisition from
-  /// it.
+  /// it.  The partial result's shard_recorded matrix is the cursor.
   CampaignResult resume(const CampaignCheckpoint& checkpoint);
 
-  /// Continue acquisition from a partial result (its shard_recorded
-  /// matrix — or, failing that, its cell sizes — is the cursor).  Prefer
-  /// resume(checkpoint) for crash recovery.
-  CampaignResult resume_from(CampaignResult partial);
-
   /// Run the TVLA fixed-vs-random screen with this campaign's model,
-  /// dataset and instruments (sharded under config.num_shards of the
-  /// screen's own config).  Defined in core/fixed_vs_random.cpp.
+  /// dataset and instruments, on the same sharded executor as run()
+  /// (sharded under config.num_shards of the screen's own config).
+  /// Defined in core/fixed_vs_random.cpp.
   FixedVsRandomResult fixed_vs_random(const FixedVsRandomConfig& config) const;
 
   /// Record-once/replay-many hardware sweep: record each measurement
@@ -375,7 +371,14 @@ class Campaign {
   hpc::InstrumentFactory& instruments() const { return instruments_; }
 
  private:
-  CampaignResult run_internal(CampaignResult partial);
+  /// The sharded slot executor behind run(), resume() and
+  /// fixed_vs_random(): acquires cfg.samples_per_category measurements
+  /// from each of `pools` (one cell per pool, in pool order) on top of
+  /// `partial`, whose cells it resumes from.
+  CampaignResult run_internal(
+      const CampaignConfig& cfg,
+      const std::vector<std::vector<const data::Example*>>& pools,
+      CampaignResult partial) const;
 
   const nn::Sequential& model_;
   const data::Dataset& dataset_;

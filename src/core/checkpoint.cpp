@@ -21,11 +21,6 @@ namespace {
 
 constexpr const char* kFormatTag = "sce-campaign-checkpoint";
 constexpr int kVersion = 3;
-/// Oldest version we can still read.  v1 lacks diagnostics.shard_recorded;
-/// loading one yields an empty matrix, which resumes as a serial prefix.
-/// v2 lacks the supervision diagnostics, which default to "completed /
-/// nothing lost".
-constexpr int kMinReadVersion = 1;
 
 /// Footer marker; everything before the preceding newline is the body
 /// the CRC covers.  A '#' line keeps the file a valid
@@ -95,6 +90,37 @@ std::vector<hpc::HpcEvent> read_event_name_array(const util::JsonValue& v) {
 
 }  // namespace
 
+void write_sample_cells(util::JsonWriter& w, const SampleCells& samples) {
+  w.begin_object();
+  for (hpc::HpcEvent e : hpc::all_events()) {
+    w.key(hpc::to_string(e)).begin_array();
+    for (const auto& cell : samples[static_cast<std::size_t>(e)]) {
+      w.begin_array();
+      for (double v : cell) w.value_exact(v);
+      w.end_array();
+    }
+    w.end_array();
+  }
+  w.end_object();
+}
+
+void read_sample_cells(const util::JsonValue& doc, std::size_t ncat,
+                       SampleCells& samples) {
+  for (hpc::HpcEvent e : hpc::all_events()) {
+    auto& per_event = samples[static_cast<std::size_t>(e)];
+    const util::JsonValue& cells = doc.at(hpc::to_string(e));
+    if (cells.size() != ncat)
+      throw InvalidArgument("checkpoint: wrong cell count for event " +
+                            hpc::to_string(e));
+    for (const auto& cell : cells.items()) {
+      std::vector<double> values;
+      values.reserve(cell.size());
+      for (const auto& v : cell.items()) values.push_back(v.as_number());
+      per_event.push_back(std::move(values));
+    }
+  }
+}
+
 CampaignCheckpoint make_checkpoint(const CampaignResult& partial,
                                    const CampaignConfig& config) {
   CampaignCheckpoint cp;
@@ -124,21 +150,8 @@ std::string checkpoint_to_json(const CampaignCheckpoint& cp) {
   for (const std::string& name : cp.partial.category_names) w.value(name);
   w.end_array();
 
-  // Sample values must survive the round trip bit-for-bit for resumed
-  // campaigns to be reproducible, hence value_exact (17 significant
-  // digits) rather than the report-oriented 12-digit double rendering.
-  w.key("samples").begin_object();
-  for (hpc::HpcEvent e : hpc::all_events()) {
-    w.key(hpc::to_string(e)).begin_array();
-    for (const auto& cell :
-         cp.partial.samples[static_cast<std::size_t>(e)]) {
-      w.begin_array();
-      for (double v : cell) w.value_exact(v);
-      w.end_array();
-    }
-    w.end_array();
-  }
-  w.end_object();
+  w.key("samples");
+  write_sample_cells(w, cp.partial.samples);
 
   const CampaignDiagnostics& d = cp.partial.diagnostics;
   w.key("diagnostics").begin_object();
@@ -176,8 +189,8 @@ std::string checkpoint_to_json(const CampaignCheckpoint& cp) {
   w.key("resumed").value(d.resumed);
   w.key("checkpoints_written")
       .value(static_cast<std::uint64_t>(d.checkpoints_written));
-  // v3: supervision outcome, so a resumed run knows why (and how
-  // degraded) its predecessor stopped.
+  // Supervision outcome, so a resumed run knows why (and how degraded)
+  // its predecessor stopped.
   w.key("stop_reason").value(to_string(d.stop_reason));
   w.key("lost_instrument_shards").begin_array();
   for (std::size_t k : d.lost_instrument_shards)
@@ -209,7 +222,7 @@ CampaignCheckpoint checkpoint_from_json(const std::string& json) {
     throw InvalidArgument("checkpoint: not a campaign checkpoint document");
   CampaignCheckpoint cp;
   cp.version = static_cast<int>(doc.at("version").as_int());
-  if (cp.version < kMinReadVersion || cp.version > kVersion)
+  if (cp.version != kVersion)
     throw InvalidArgument("checkpoint: unsupported version " +
                           std::to_string(cp.version));
   cp.samples_per_category =
@@ -225,20 +238,8 @@ CampaignCheckpoint checkpoint_from_json(const std::string& json) {
     throw InvalidArgument(
         "checkpoint: categories / category_names size mismatch");
 
-  const util::JsonValue& samples = doc.at("samples");
-  for (hpc::HpcEvent e : hpc::all_events()) {
-    auto& per_event = cp.partial.samples[static_cast<std::size_t>(e)];
-    const util::JsonValue& cells = samples.at(hpc::to_string(e));
-    if (cells.size() != cp.partial.categories.size())
-      throw InvalidArgument("checkpoint: wrong cell count for event " +
-                            hpc::to_string(e));
-    for (const auto& cell : cells.items()) {
-      std::vector<double> values;
-      values.reserve(cell.size());
-      for (const auto& v : cell.items()) values.push_back(v.as_number());
-      per_event.push_back(std::move(values));
-    }
-  }
+  read_sample_cells(doc.at("samples"), cp.partial.categories.size(),
+                    cp.partial.samples);
 
   const util::JsonValue& diag = doc.at("diagnostics");
   CampaignDiagnostics& d = cp.partial.diagnostics;
@@ -268,30 +269,22 @@ CampaignCheckpoint checkpoint_from_json(const std::string& json) {
   d.resumed = diag.at("resumed").as_bool();
   d.checkpoints_written =
       static_cast<std::size_t>(diag.at("checkpoints_written").as_int());
-  // v3 supervision fields; absent in v1/v2 files, where the run either
-  // completed or died without recording why.
-  if (const util::JsonValue* reason = diag.find("stop_reason"))
-    d.stop_reason = parse_stop_reason(reason->as_string());
-  if (const util::JsonValue* lost = diag.find("lost_instrument_shards"))
-    for (const auto& k : lost->items())
-      d.lost_instrument_shards.push_back(
-          static_cast<std::size_t>(k.as_int()));
-  if (const util::JsonValue* stalled = diag.find("stalled_shards"))
-    for (const auto& k : stalled->items())
-      d.stalled_shards.push_back(static_cast<std::size_t>(k.as_int()));
-  if (const util::JsonValue* fo = diag.find("failed_over_measurements"))
-    d.failed_over_measurements = static_cast<std::size_t>(fo->as_int());
-  if (const util::JsonValue* matrix = diag.find("shard_recorded")) {
-    for (const auto& row : matrix->items()) {
-      std::vector<std::size_t> counts;
-      counts.reserve(row.size());
-      for (const auto& n : row.items())
-        counts.push_back(static_cast<std::size_t>(n.as_int()));
-      if (counts.size() != cp.partial.categories.size())
-        throw InvalidArgument(
-            "checkpoint: shard_recorded row has wrong category count");
-      d.shard_recorded.push_back(std::move(counts));
-    }
+  d.stop_reason = parse_stop_reason(diag.at("stop_reason").as_string());
+  for (const auto& k : diag.at("lost_instrument_shards").items())
+    d.lost_instrument_shards.push_back(static_cast<std::size_t>(k.as_int()));
+  for (const auto& k : diag.at("stalled_shards").items())
+    d.stalled_shards.push_back(static_cast<std::size_t>(k.as_int()));
+  d.failed_over_measurements =
+      static_cast<std::size_t>(diag.at("failed_over_measurements").as_int());
+  for (const auto& row : diag.at("shard_recorded").items()) {
+    std::vector<std::size_t> counts;
+    counts.reserve(row.size());
+    for (const auto& n : row.items())
+      counts.push_back(static_cast<std::size_t>(n.as_int()));
+    if (counts.size() != cp.partial.categories.size())
+      throw InvalidArgument(
+          "checkpoint: shard_recorded row has wrong category count");
+    d.shard_recorded.push_back(std::move(counts));
   }
   return cp;
 }
@@ -300,13 +293,10 @@ std::string with_crc_footer(const std::string& body) {
   return body + kCrcMarker + util::crc32_hex(util::crc32(body)) + "\n";
 }
 
-std::string strip_crc_footer(const std::string& text, bool& had_footer) {
+std::string strip_crc_footer(const std::string& text) {
   const std::size_t marker = text.rfind(kCrcMarker);
-  if (marker == std::string::npos) {
-    had_footer = false;
-    return text;
-  }
-  had_footer = true;
+  if (marker == std::string::npos)
+    throw InvalidArgument("checkpoint: missing CRC footer");
   const std::string body = text.substr(0, marker);
   std::string hex = text.substr(marker + std::string(kCrcMarker).size());
   while (!hex.empty() && (hex.back() == '\n' || hex.back() == '\r'))
@@ -346,9 +336,8 @@ void write_durable(const std::string& path, const std::string& text) {
 
 std::string read_verified(const std::string& path) {
   const std::string text = read_file(path);
-  bool had_footer = false;
   try {
-    return strip_crc_footer(text, had_footer);
+    return strip_crc_footer(text);
   } catch (const InvalidArgument& e) {
     // Quarantine, keep the evidence, fall back to the previous
     // generation if the rotation left one behind.
@@ -363,7 +352,7 @@ std::string read_verified(const std::string& path) {
     if (!file_exists(prev)) throw;
     util::log_warn("checkpoint: falling back to ", prev);
     const std::string prev_text = read_file(prev);
-    return strip_crc_footer(prev_text, had_footer);  // rethrows if also bad
+    return strip_crc_footer(prev_text);  // rethrows if also bad
   }
 }
 

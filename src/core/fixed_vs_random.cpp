@@ -1,15 +1,12 @@
 #include "core/fixed_vs_random.hpp"
 
 #include <cmath>
-#include <exception>
-#include <memory>
 #include <sstream>
 
-#include "nn/plan.hpp"
+#include "core/acquisition.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sce::core {
 
@@ -50,83 +47,14 @@ stats::TTestResult half_test(const std::vector<double>& fixed,
   return stats::welch_t_test(f, r);
 }
 
-constexpr std::uint64_t kWarmupKeyBit = std::uint64_t{1} << 63;
-
-/// One shard's private screen state: a contiguous range [lo, hi) of pair
-/// indices, its own plan/staging/instrument, and its segments of the two
-/// populations.
-struct FvrShard {
-  explicit FvrShard(hpc::Instrument ins) : instrument(std::move(ins)) {}
-
-  std::size_t index = 0;
-  hpc::Instrument instrument;
-  std::unique_ptr<nn::InferencePlan> plan;
-  nn::Tensor staged;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  std::array<std::vector<double>, hpc::kNumEvents> fixed_samples;
-  std::array<std::vector<double>, hpc::kNumEvents> random_samples;
-  std::exception_ptr error;
-  /// Set when the shard's full pair range was acquired (distinguishes a
-  /// pool task dropped by a cancelled token from one that ran).
-  bool done = false;
-};
-
-void measure_one(FvrShard& sh, const FixedVsRandomConfig& cfg,
-                 const nn::Tensor& input, std::uint64_t key,
-                 std::array<std::vector<double>, hpc::kNumEvents>* out) {
-  hpc::CounterProvider& provider = sh.instrument.provider();
-  (void)provider.set_measurement_key(key);
-  provider.start();
-  try {
-    (void)sh.plan->run(input, sh.instrument.sink(), cfg.kernel_mode);
-  } catch (...) {
-    try {
-      provider.stop();
-    } catch (...) {
-    }
-    throw;
-  }
-  provider.stop();
-  if (!out) return;
-  const hpc::CounterSample sample = provider.read();
-  for (hpc::HpcEvent e : hpc::all_events())
-    (*out)[static_cast<std::size_t>(e)].push_back(
-        static_cast<double>(sample[e]));
-}
-
-/// Acquire this shard's pair range.  The random example of pair i is
-/// chosen by an RNG seeded from (random_seed, i) — a pure function of the
-/// pair index, so partitioning does not reshuffle the random population.
-/// Measurement keys mirror the interleaved serial order: pair i is
-/// measurement 2i (fixed) then 2i+1 (random).
-void run_fvr_shard(FvrShard& sh, const FixedVsRandomConfig& cfg,
-                   const util::CancelToken& token,
-                   const data::Dataset& dataset,
-                   const nn::Tensor& fixed_input) {
-  // Warm-up: reach steady heap/process state before recording.
-  for (std::size_t w = 0; w < 2; ++w)
-    measure_one(sh, cfg, fixed_input,
-                kWarmupKeyBit | (static_cast<std::uint64_t>(sh.index) << 32) |
-                    w,
-                nullptr);
-  for (std::size_t i = sh.lo; i < sh.hi; ++i) {
-    token.check();
-    measure_one(sh, cfg, fixed_input,
-                (static_cast<std::uint64_t>(2 * i) << 8), &sh.fixed_samples);
-    util::Rng pick(util::mix64(cfg.random_seed, i));
-    const data::Example& random_example =
-        dataset[static_cast<std::size_t>(pick.below(dataset.size()))];
-    nn::image_to_tensor_into(random_example.image, sh.staged);
-    measure_one(sh, cfg, sh.staged,
-                (static_cast<std::uint64_t>(2 * i + 1) << 8),
-                &sh.random_samples);
-  }
-  sh.done = true;
-}
-
 }  // namespace
 
+// The screen is an interleaved two-pool campaign on the shared executor:
+// pool 0 holds the fixed image (reused for every slot), pool 1 the
+// random examples.  Pair i is then measured as slots 2i (fixed) and
+// 2i+1 (random) — the keys the serial interleaved order assigns — and
+// random[i] is a pure function of (random_seed, i), so partitioning the
+// pair range never reshuffles either population.
 FixedVsRandomResult Campaign::fixed_vs_random(
     const FixedVsRandomConfig& config) const {
   config.validate();
@@ -140,83 +68,58 @@ FixedVsRandomResult Campaign::fixed_vs_random(
   if (dataset_.empty())
     throw InvalidArgument("fixed_vs_random: empty dataset");
 
-  const nn::Tensor fixed_input =
-      nn::image_to_tensor(fixed_pool.front()->image);
-
   const std::size_t n = config.samples_per_population;
-  const std::size_t nshards = config.num_shards;
-  std::vector<std::unique_ptr<FvrShard>> shards;
-  shards.reserve(nshards);
-  const std::size_t div = n / nshards;
-  const std::size_t rem = n % nshards;
-  for (std::size_t k = 0; k < nshards; ++k) {
-    shards.push_back(
-        std::make_unique<FvrShard>(instruments_.create(k, nshards)));
-    FvrShard& sh = *shards.back();
-    sh.index = k;
-    sh.lo = k * div + std::min(k, rem);
-    sh.hi = sh.lo + div + (k < rem ? 1 : 0);
-    sh.plan = std::make_unique<nn::InferencePlan>(model_, fixed_input.shape());
+  std::vector<const data::Example*> random_pool;
+  random_pool.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    util::Rng pick(util::mix64(config.random_seed, i));
+    random_pool.push_back(
+        &dataset_[static_cast<std::size_t>(pick.below(dataset_.size()))]);
   }
+  const acquisition::InputPools pools = {{fixed_pool.front()},
+                                         std::move(random_pool)};
 
-  // Supervision: a tripped token (or expired deadline) unwinds every
-  // shard at its next pair boundary and the first shard's taxonomy
-  // error propagates — the screen is all-or-nothing by design.
-  util::CancelToken token = config.cancel.child();
-  if (config.deadline > std::chrono::milliseconds::zero())
-    token.set_deadline_after(config.deadline);
+  CampaignConfig run;
+  run.categories = {config.fixed_category, config.fixed_category};
+  run.samples_per_category = n;
+  run.kernel_mode = config.kernel_mode;
+  run.num_shards = config.num_shards;
+  run.num_threads = config.num_threads;
+  // The screen has no partial-result channel, so a rig that exhausts
+  // three slots in a row hands its pairs to a healthy rig instead of
+  // grinding on toward max_failed_measurements.
+  run.instrument_lost_after = 3;
+  run.cancel = config.cancel;
+  run.deadline = config.deadline;
 
-  const std::size_t threads = config.num_threads == 0
-                                  ? nshards
-                                  : std::min(config.num_threads, nshards);
-  if (threads > 1) {
-    util::ThreadPool pool(threads);
-    for (auto& sh : shards) {
-      FvrShard* shard = sh.get();
-      pool.submit(token, [shard, &config, &token, this, &fixed_input] {
-        try {
-          run_fvr_shard(*shard, config, token, dataset_, fixed_input);
-        } catch (...) {
-          shard->error = std::current_exception();
-        }
-      });
-    }
-    pool.wait();
-    for (const auto& sh : shards)
-      if (sh->error) std::rethrow_exception(sh->error);
-    for (const auto& sh : shards)
-      if (!sh->done) token.check();  // task dropped by the cancelled token
-  } else {
-    for (auto& sh : shards)
-      run_fvr_shard(*sh, config, token, dataset_, fixed_input);
-  }
+  CampaignResult shell;
+  shell.categories = run.categories;
+  shell.category_names = {"fixed", "random"};
+  for (auto& per_event : shell.samples) per_event.assign(pools.size(), {});
+  const CampaignResult acquired =
+      run_internal(run, pools, std::move(shell));
 
-  // Merge the population segments in shard order = ascending pair index.
-  std::array<std::vector<double>, hpc::kNumEvents> fixed_samples;
-  std::array<std::vector<double>, hpc::kNumEvents> random_samples;
-  for (hpc::HpcEvent e : hpc::all_events()) {
-    const std::size_t idx = static_cast<std::size_t>(e);
-    fixed_samples[idx].reserve(n);
-    random_samples[idx].reserve(n);
-    for (const auto& sh : shards) {
-      fixed_samples[idx].insert(fixed_samples[idx].end(),
-                                sh->fixed_samples[idx].begin(),
-                                sh->fixed_samples[idx].end());
-      random_samples[idx].insert(random_samples[idx].end(),
-                                 sh->random_samples[idx].begin(),
-                                 sh->random_samples[idx].end());
-    }
+  // All-or-nothing: a t-test over a fragment of the populations would
+  // invite misreading, so a supervision stop surfaces as its taxonomy
+  // error instead of a Partial result.
+  if (acquired.status() == RunStatus::kPartial) {
+    if (acquired.diagnostics.stop_reason == StopReason::kDeadline)
+      throw DeadlineExceeded("fixed_vs_random: deadline expired");
+    throw Cancelled("fixed_vs_random: cancelled");
   }
 
   FixedVsRandomResult result;
   result.config = config;
   for (hpc::HpcEvent e : hpc::all_events()) {
-    const std::size_t idx = static_cast<std::size_t>(e);
-    FixedVsRandomEventResult& r = result.per_event[idx];
+    FixedVsRandomEventResult& r =
+        result.per_event[static_cast<std::size_t>(e)];
     r.event = e;
-    r.full = stats::welch_t_test(fixed_samples[idx], random_samples[idx]);
-    r.first = half_test(fixed_samples[idx], random_samples[idx], 0, n / 2);
-    r.second = half_test(fixed_samples[idx], random_samples[idx], n / 2, n);
+    if (!acquired.has_event(e)) continue;  // dropped or unsupported
+    const std::vector<double>& fixed = acquired.of(e, 0);
+    const std::vector<double>& random = acquired.of(e, 1);
+    r.full = stats::welch_t_test(fixed, random);
+    r.first = half_test(fixed, random, 0, n / 2);
+    r.second = half_test(fixed, random, n / 2, n);
     r.leaks = tvla_verdict(config, r);
   }
   return result;

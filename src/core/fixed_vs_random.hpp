@@ -9,12 +9,16 @@
 // |t| > 4.5 (and is usually run twice on disjoint measurement halves;
 // both halves must agree on the sign).
 //
-// The screen runs through the same sharded runtime as full campaigns:
-// pair index i (one fixed + one random classification) is the unit of
-// work, shards own contiguous pair ranges, and both the random-example
-// choice and the provider's measurement randomness are keyed by i, so
-// the merged populations are identical at any shard count under the
-// simulated PMU.
+// The screen runs on the campaign's sharded slot executor as an
+// interleaved two-category campaign (fixed pool, random pool): pair i
+// (one fixed + one random classification) is the unit of work, shards
+// own contiguous pair ranges, and both the random-example choice and the
+// provider's measurement randomness are keyed by i, so the merged
+// populations are identical at any shard or thread count for providers
+// without address sensitivity.  The screen inherits the campaign's
+// fault tolerance: transient provider failures are retried per slot,
+// a lost instrument's pairs fail over to healthy ones, and an event the
+// provider drops or never offers is left untested (leaks = false).
 #pragma once
 
 #include <array>
@@ -43,7 +47,7 @@ struct FixedVsRandomConfig {
   /// Worker threads; 0 = one per shard.
   std::size_t num_threads = 0;
 
-  /// Cooperative cancel handle, polled between measurement pairs.
+  /// Cooperative cancel handle, polled between measurement attempts.
   /// Unlike the campaign, the screen has no partial-result channel — a
   /// t-test over a fragment of the two populations would invite
   /// misreading — so a tripped token propagates the matching taxonomy

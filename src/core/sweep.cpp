@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/acquisition.hpp"
 #include "core/acquisition_keys.hpp"
 #include "core/checkpoint.hpp"
 #include "nn/model.hpp"
@@ -174,21 +175,9 @@ SweepResult Campaign::sweep_internal(const SweepConfig& cfg,
   const std::size_t per_cat = cfg.samples_per_category;
 
   // --- Input pools, exactly as the live campaign builds them. ----------
-  std::vector<std::vector<const data::Example*>> pools;
-  std::vector<std::string> category_names;
-  for (int label : cfg.categories) {
-    if (label < 0 || static_cast<std::size_t>(label) >= dataset_.num_classes())
-      throw InvalidArgument("sweep: category label out of range");
-    category_names.push_back(
-        dataset_.class_names()[static_cast<std::size_t>(label)]);
-    pools.push_back(dataset_.examples_of(label));
-    if (pools.back().empty())
-      throw InvalidArgument("sweep: no examples of category " +
-                            std::to_string(label));
-    if (pools.back().size() < per_cat && !cfg.allow_image_reuse)
-      throw InvalidArgument("sweep: not enough images of category " +
-                            std::to_string(label));
-  }
+  const acquisition::CategoryPools inputs = acquisition::category_pools(
+      dataset_, cfg.categories, per_cat, cfg.allow_image_reuse, "sweep");
+  const acquisition::InputPools& pools = inputs.pools;
 
   // --- Deduplicate the grid into component classes. --------------------
   std::vector<MemClass> mem_classes;
@@ -406,7 +395,7 @@ SweepResult Campaign::sweep_internal(const SweepConfig& cfg,
     SweepPointResult& pr = result.points[g];
     pr.label = cfg.grid[g].label;
     pr.result.categories = cfg.categories;
-    pr.result.category_names = category_names;
+    pr.result.category_names = inputs.names;
     for (auto& per_event : pr.result.samples) {
       per_event.assign(ncat, {});
       for (auto& cell : per_event) cell.reserve(per_cat);
@@ -499,9 +488,7 @@ SweepResult Campaign::sweep_internal(const SweepConfig& cfg,
   }
 
   // --- Supervised slot loop. -------------------------------------------
-  util::CancelToken token = cfg.cancel.child();
-  if (cfg.deadline > std::chrono::milliseconds::zero())
-    token.set_deadline_after(cfg.deadline);
+  util::CancelToken token = acquisition::run_token(cfg.cancel, cfg.deadline);
 
   auto flush_checkpoint = [&](std::size_t cursor) {
     if (cfg.checkpoint_path.empty()) return;
@@ -536,17 +523,7 @@ SweepResult Campaign::sweep_internal(const SweepConfig& cfg,
   result.slots_completed = cursor;
   result.complete = cursor == total_slots;
   if (!result.complete) {
-    switch (token.reason()) {
-      case util::CancelReason::kDeadline:
-        result.stop_reason = StopReason::kDeadline;
-        break;
-      case util::CancelReason::kStalled:
-        result.stop_reason = StopReason::kShardStalled;
-        break;
-      default:
-        result.stop_reason = StopReason::kCancelled;
-        break;
-    }
+    result.stop_reason = acquisition::stop_reason_of(token);
     util::log_info("sweep: stopping at slot ", cursor, "/", total_slots,
                    " (", to_string(result.stop_reason),
                    "): ", token.message());
@@ -615,23 +592,12 @@ std::string sweep_checkpoint_to_json(const SweepCheckpoint& cp) {
       .value(static_cast<std::uint64_t>(cp.slots_completed));
   w.key("stop_reason").value(to_string(cp.partial.stop_reason));
 
-  // Per-point samples, value_exact for the same bit-for-bit resume
-  // guarantee the campaign checkpoint makes.
   w.key("points").begin_array();
   for (const SweepPointResult& pr : cp.partial.points) {
     w.begin_object();
     w.key("label").value(pr.label);
-    w.key("samples").begin_object();
-    for (hpc::HpcEvent e : hpc::all_events()) {
-      w.key(hpc::to_string(e)).begin_array();
-      for (const auto& cell : pr.result.samples[static_cast<std::size_t>(e)]) {
-        w.begin_array();
-        for (double v : cell) w.value_exact(v);
-        w.end_array();
-      }
-      w.end_array();
-    }
-    w.end_object();
+    w.key("samples");
+    write_sample_cells(w, pr.result.samples);
     w.end_object();
   }
   w.end_array();
@@ -646,7 +612,7 @@ SweepCheckpoint sweep_checkpoint_from_json(const std::string& json) {
     throw InvalidArgument("sweep checkpoint: not a sweep checkpoint document");
   SweepCheckpoint cp;
   cp.version = static_cast<int>(doc.at("version").as_int());
-  if (cp.version > kSweepVersion)
+  if (cp.version != kSweepVersion)
     throw InvalidArgument("sweep checkpoint: unsupported version " +
                           std::to_string(cp.version));
   cp.samples_per_category =
@@ -680,21 +646,8 @@ SweepCheckpoint sweep_checkpoint_from_json(const std::string& json) {
     if (pr.label != cp.grid_labels[g])
       throw InvalidArgument("sweep checkpoint: point order mismatch");
     pr.result.categories = cp.categories;
-    const util::JsonValue& samples = pt.at("samples");
-    for (hpc::HpcEvent e : hpc::all_events()) {
-      auto& per_event = pr.result.samples[static_cast<std::size_t>(e)];
-      const util::JsonValue& cells = samples.at(hpc::to_string(e));
-      if (cells.size() != cp.categories.size())
-        throw InvalidArgument(
-            "sweep checkpoint: wrong cell count for event " +
-            hpc::to_string(e));
-      for (const auto& cell : cells.items()) {
-        std::vector<double> values;
-        values.reserve(cell.size());
-        for (const auto& v : cell.items()) values.push_back(v.as_number());
-        per_event.push_back(std::move(values));
-      }
-    }
+    read_sample_cells(pt.at("samples"), cp.categories.size(),
+                      pr.result.samples);
     cp.partial.points.push_back(std::move(pr));
     ++g;
   }

@@ -10,7 +10,8 @@
 // All randomness comes from one seeded Rng, so any observed failure
 // sequence can be replayed exactly — the decorator doubles as the
 // permanent test harness for the fault-tolerant acquisition path in
-// core::run_campaign and core::OnlineEvaluator.
+// core::Campaign (run/resume and the TVLA screen) and
+// core::OnlineEvaluator.
 #pragma once
 
 #include <optional>

@@ -399,18 +399,15 @@ TEST(CheckpointDurability, CrcFooterRoundTrip) {
   const std::string framed = with_crc_footer(body);
   EXPECT_NE(framed.find("#crc32:"), std::string::npos);
 
-  bool had_footer = false;
-  EXPECT_EQ(strip_crc_footer(framed, had_footer), body);
-  EXPECT_TRUE(had_footer);
+  EXPECT_EQ(strip_crc_footer(framed), body);
 
-  // Footerless text passes through untouched (legacy files).
-  EXPECT_EQ(strip_crc_footer(body, had_footer), body);
-  EXPECT_FALSE(had_footer);
+  // Footerless text is unverifiable, hence rejected.
+  EXPECT_THROW(strip_crc_footer(body), InvalidArgument);
 
   // Any tampering inside the framed body is caught.
   std::string tampered = framed;
   tampered[3] ^= 0x01;
-  EXPECT_THROW(strip_crc_footer(tampered, had_footer), InvalidArgument);
+  EXPECT_THROW(strip_crc_footer(tampered), InvalidArgument);
 }
 
 TEST(CheckpointDurability, CorruptFileIsQuarantinedAndPrevWins) {
@@ -462,33 +459,43 @@ TEST(CheckpointDurability, CorruptFileWithoutPrevThrows) {
   EXPECT_TRUE(file_exists(path + ".corrupt"));
 }
 
-TEST(CheckpointDurability, LegacyFooterlessAndV2FilesStillLoad) {
-  const std::string path = scratch_path("sce_sup_legacy.json");
+/// `json` with its top-level "version" stamp replaced by `version`.
+std::string with_version(std::string json, int version) {
+  const std::size_t key = json.find("\"version\"");
+  const std::size_t begin = json.find(':', key) + 1;
+  const std::size_t end = json.find_first_of(",}", begin);
+  return json.replace(begin, end - begin, " " + std::to_string(version));
+}
+
+TEST(CheckpointDurability, FooterlessAndV2FilesAreRejected) {
   const CampaignResult partial =
       testing::synthetic_campaign({10.0, 20.0}, 1.0, 4);
   CampaignConfig cfg;
   cfg.categories = {0, 1};
   cfg.samples_per_category = 8;
+  const std::string body = checkpoint_to_json(make_checkpoint(partial, cfg));
+  ASSERT_EQ(checkpoint_from_json(body).samples_per_category, 8u);
 
-  // Pre-CRC writers produced the bare JSON document; downgrade the
-  // version stamp to 2 to stand in for a file from that era.
-  std::string body = checkpoint_to_json(make_checkpoint(partial, cfg));
-  const std::size_t key = body.find("\"version\"");
-  ASSERT_NE(key, std::string::npos);
-  const std::size_t digit = body.find('3', key);
-  ASSERT_NE(digit, std::string::npos);
-  body[digit] = '2';
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << body;
+  // Only the current version is read: older (and nonsensical) stamps
+  // are foreign documents.
+  for (int version : {-1, 0, 1, 2, 4})
+    EXPECT_THROW(checkpoint_from_json(with_version(body, version)),
+                 InvalidArgument)
+        << "version " << version;
+
+  // A bare JSON document (the pre-CRC layout) cannot be verified: it is
+  // quarantined like any corrupt file.
+  for (int version : {2, 3}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string path = scratch_path("sce_sup_footerless.json");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << with_version(body, version);
+    }
+    EXPECT_THROW(load_checkpoint(path), InvalidArgument);
+    EXPECT_TRUE(file_exists(path + ".corrupt"));
+    EXPECT_FALSE(file_exists(path));
   }
-
-  const CampaignCheckpoint cp = load_checkpoint(path);
-  EXPECT_EQ(cp.version, 2);
-  EXPECT_EQ(cp.samples_per_category, 8u);
-  // v2 predates the supervision diagnostics: they default to "clean".
-  EXPECT_EQ(cp.partial.diagnostics.stop_reason, StopReason::kCompleted);
-  EXPECT_TRUE(cp.partial.diagnostics.lost_instrument_shards.empty());
 }
 
 // --- Sweep supervision and resume --------------------------------------------
@@ -675,6 +682,23 @@ TEST(SweepSupervision, CheckpointJsonRejectsForeignDocuments) {
   EXPECT_THROW(sweep_checkpoint_from_json("{}"), InvalidArgument);
   EXPECT_THROW(sweep_checkpoint_from_json("[1,2]"), InvalidArgument);
   EXPECT_THROW(sweep_checkpoint_from_json("not json"), InvalidArgument);
+
+  // v3 is the only sweep layout that ever existed.
+  const std::string body = sweep_checkpoint_to_json(SweepCheckpoint{});
+  ASSERT_NO_THROW(sweep_checkpoint_from_json(body));
+  for (int version : {-1, 0, 1, 2, 4})
+    EXPECT_THROW(sweep_checkpoint_from_json(with_version(body, version)),
+                 InvalidArgument)
+        << "version " << version;
+
+  // A footerless file is quarantined, not trusted.
+  const std::string path = scratch_path("sce_sweep_footerless.json");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << body;
+  }
+  EXPECT_THROW(load_sweep_checkpoint(path), InvalidArgument);
+  EXPECT_TRUE(file_exists(path + ".corrupt"));
 }
 
 // --- Fixed-vs-random supervision ----------------------------------------------
@@ -696,6 +720,29 @@ TEST(FvrSupervision, TrippedTokenAbortsWithTaxonomyError) {
   late.num_shards = 2;
   late.cancel.set_deadline_after(0ms);
   EXPECT_THROW(campaign.fixed_vs_random(late), DeadlineExceeded);
+}
+
+TEST(FvrSupervision, LostInstrumentFailsOverBitForBit) {
+  const nn::Sequential model = tiny_model();
+  const data::Dataset ds = tiny_dataset();
+  FixedVsRandomConfig cfg;
+  cfg.samples_per_population = 40;
+  cfg.num_shards = 3;
+
+  auto healthy = trace_pure_factory();
+  const FixedVsRandomResult reference =
+      Campaign(model, ds, healthy).fixed_vs_random(cfg);
+
+  // Shard 1's rig dies after a handful of reads; its pairs are measured
+  // on the surviving rigs under the same slot keys.
+  auto dying = dying_factory({1}, /*die_after_reads=*/5);
+  const FixedVsRandomResult failed_over =
+      Campaign(model, ds, dying).fixed_vs_random(cfg);
+  for (hpc::HpcEvent e : hpc::all_events()) {
+    SCOPED_TRACE(hpc::to_string(e));
+    EXPECT_EQ(failed_over.of(e).full.t, reference.of(e).full.t);
+    EXPECT_EQ(failed_over.of(e).leaks, reference.of(e).leaks);
+  }
 }
 
 }  // namespace

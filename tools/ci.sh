@@ -10,9 +10,10 @@
 # build-dir: plain (uninstrumented) build directory, default build-ci.
 # The sanitized passes reuse tools/run_sanitized_tests.sh with their own
 # trees (build-ci-sanitize, build-ci-tsan) so instrumented and plain
-# objects never mix.  The TSan pass covers the sharded campaign runtime
-# (thread pool, parallel acquisition, parallel fixed-vs-random) — the
-# only code that runs on more than one thread.
+# objects never mix.  The TSan pass covers the code that runs on more
+# than one thread: the thread pool, the sharded campaign executor (which
+# also runs the fixed-vs-random screen), supervision (watchdog, cancel,
+# failover) and the sweep's replay fan-out.
 #
 # Set SCE_CI_SKIP_SANITIZERS=1 to run only the plain suite (useful on
 # hosts whose toolchain lacks the sanitizer runtimes).  A toolchain
@@ -146,7 +147,7 @@ else
      cc -fsanitize=thread -x c - -o /dev/null 2>/dev/null; then
     echo "==> running concurrency tests under thread sanitizer"
     "$SRC_DIR/tools/run_sanitized_tests.sh" "thread" "${BUILD_DIR}-tsan" \
-      'ThreadPool|CampaignParallel|FixedVsRandom'
+      'ThreadPool|CampaignParallel|FixedVsRandom|FvrSupervision|Sweep|Supervision'
   else
     echo "==> toolchain lacks libtsan: skipping TSan stage"
   fi
