@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/error.hpp"
@@ -199,9 +200,13 @@ TEST(ConfidenceInterval, BadAlphaThrows) {
   EXPECT_THROW(welch_confidence_interval(s, s, 1.0), InvalidArgument);
 }
 
+// GoogleTest names each case by the bytes of its parameter, and CTest keeps
+// that name. Two eight-byte fields leave no padding, so every byte of the
+// name comes from the values; a bool here left seven uninitialised bytes in
+// the name, which changed from one build or run to the next.
 struct PowerCase {
   double delta;
-  bool expect_significant;
+  std::uint64_t expect_significant;  // 0 or 1
 };
 
 class WelchPowerSweep : public ::testing::TestWithParam<PowerCase> {};
@@ -215,13 +220,13 @@ TEST_P(WelchPowerSweep, SeparationDrivesSignificance) {
   std::vector<double> b(200);
   for (auto& x : a) x = rng.normal(0.0, 1.0);
   for (auto& x : b) x = rng.normal(c.delta, 1.0);
-  EXPECT_EQ(welch_t_test(a, b).significant(0.05), c.expect_significant);
+  EXPECT_EQ(welch_t_test(a, b).significant(0.05), c.expect_significant != 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Deltas, WelchPowerSweep,
-    ::testing::Values(PowerCase{0.0, false}, PowerCase{0.5, true},
-                      PowerCase{1.0, true}, PowerCase{2.0, true}));
+    ::testing::Values(PowerCase{0.0, 0}, PowerCase{0.5, 1}, PowerCase{1.0, 1},
+                      PowerCase{2.0, 1}));
 
 }  // namespace
 }  // namespace sce::stats
