@@ -57,18 +57,6 @@ void SymbolicEngine::store(SymBuffer buffer, std::size_t index, SymValue v) {
   assign(buffer, index, v);
 }
 
-SymValue SymbolicEngine::load_indexed(const SymSite& site, SymBuffer buffer,
-                                      SymValue index) {
-  record_memory({buffer.id, SIZE_MAX, false});
-  if (index.secret()) {
-    address_stream_ = true;
-    note("address-stream", site, "load address is computed from secret data");
-  }
-  SymValue v = index;
-  for (const SymValue& element : buffers_[buffer.id]) v = join(v, element);
-  return v;
-}
-
 SymValue SymbolicEngine::value(SymBuffer buffer, std::size_t index) {
   return buffers_[buffer.id][index];
 }

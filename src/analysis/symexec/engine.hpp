@@ -1,5 +1,6 @@
-// SymbolicEngine: the abstract interpreter behind the symbolic kernel
-// models (nn/kernels/symbolic.hpp).
+// SymbolicEngine: the abstract interpreter behind symbolic kernel runs
+// (nn/kernels/symbolic.hpp): the instrumented kernels' own loop nests
+// instantiated over SymbolicDomain, and the fast kernels' hand models.
 //
 // Domain: per-buffer, per-element secrecy taint (two-point lattice) with
 // concrete loop trip counts — the affine index structure of the kernels
@@ -34,9 +35,9 @@ class Layer;
 
 namespace sce::analysis::symexec {
 
-/// Where a derived leak claim comes from: the model site (file/line into
-/// the symbolic model TU, label naming the mirrored kernel construct)
-/// plus what the engine saw there.
+/// Where a derived leak claim comes from: the site (file/line of the
+/// instrumented kernel, or of the fast kernel's hand model; label naming
+/// the construct) plus what the engine saw there.
 struct Witness {
   /// "branch-outcomes" | "branch-count" | "address-stream" |
   /// "instruction-count" | "rng".
@@ -77,9 +78,6 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
                              std::size_t index) override;
   void store(nn::kernels::SymBuffer buffer, std::size_t index,
              nn::kernels::SymValue v) override;
-  nn::kernels::SymValue load_indexed(const nn::kernels::SymSite& site,
-                                     nn::kernels::SymBuffer buffer,
-                                     nn::kernels::SymValue index) override;
   nn::kernels::SymValue value(nn::kernels::SymBuffer buffer,
                               std::size_t index) override;
   void assign(nn::kernels::SymBuffer buffer, std::size_t index,
@@ -103,8 +101,7 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
   DerivedContract finish(nn::ExecutionPath path) const;
 
  private:
-  /// One memory access: (buffer, element, is_store).  SIZE_MAX as the
-  /// element marks a data-derived address (load_indexed).
+  /// One memory access: (buffer, element, is_store).
   struct MemEvent {
     std::size_t buffer = 0;
     std::size_t index = 0;

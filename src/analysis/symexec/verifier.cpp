@@ -7,7 +7,9 @@ namespace sce::analysis {
 const std::string& analyzer_version() {
   // PR 5 analyzer = v1; v2 adds the symbolic verifier (derived
   // contracts change verdicts, so v1 cache entries must not be served).
-  static const std::string version = "analyzer-v2-symexec-1";
+  // symexec-2: instrumented contracts are derived from the kernels
+  // themselves, and witnesses name kernel lines.
+  static const std::string version = "analyzer-v2-symexec-2";
   return version;
 }
 

@@ -61,14 +61,14 @@ void AvgPool2D::symbolic_forward(kernels::SymbolicExecutor& exec,
                                  KernelMode /*mode*/,
                                  ExecutionPath path) const {
   const std::vector<std::size_t> out = output_shape(input_shape);
-  kernels::Pool2DGeom g;
-  g.channels = input_shape[0];
-  g.in_h = input_shape[1];
-  g.in_w = input_shape[2];
-  g.out_h = out[1];
-  g.out_w = out[2];
-  g.window = window_;
-  kernels::avgpool2d_symbolic(g, exec, path);
+  kernels::Pool2DShape shape;
+  shape.channels = input_shape[0];
+  shape.in_h = input_shape[1];
+  shape.in_w = input_shape[2];
+  shape.out_h = out[1];
+  shape.out_w = out[2];
+  shape.window = window_;
+  kernels::avgpool2d_symbolic(shape, exec, path);
 }
 
 Tensor AvgPool2D::train_forward(const Tensor& input) {

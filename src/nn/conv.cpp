@@ -161,17 +161,17 @@ void Conv2D::symbolic_forward(kernels::SymbolicExecutor& exec,
                               const std::vector<std::size_t>& input_shape,
                               KernelMode mode, ExecutionPath path) const {
   const std::vector<std::size_t> out = output_shape(input_shape);
-  kernels::Conv2DGeom g;
-  g.in_channels = in_channels_;
-  g.out_channels = out_channels_;
-  g.kernel = kernel_;
-  g.stride = stride_;
-  g.padding = padding_;
-  g.in_h = input_shape[1];
-  g.in_w = input_shape[2];
-  g.out_h = out[1];
-  g.out_w = out[2];
-  kernels::conv2d_symbolic(g, algorithm_, exec, mode, path);
+  kernels::Conv2DShape shape;
+  shape.in_channels = in_channels_;
+  shape.out_channels = out_channels_;
+  shape.kernel = kernel_;
+  shape.stride = stride_;
+  shape.padding = padding_;
+  shape.in_h = input_shape[1];
+  shape.in_w = input_shape[2];
+  shape.out_h = out[1];
+  shape.out_w = out[2];
+  kernels::conv2d_symbolic(shape, algorithm_, exec, mode, path);
 }
 
 Tensor Conv2D::train_forward(const Tensor& input) {

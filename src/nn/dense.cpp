@@ -92,7 +92,8 @@ LeakageContract Dense::fast_leakage_contract(KernelMode mode) const {
 void Dense::symbolic_forward(kernels::SymbolicExecutor& exec,
                              const std::vector<std::size_t>& /*input_shape*/,
                              KernelMode mode, ExecutionPath path) const {
-  kernels::dense_symbolic(kernels::DenseGeom{in_, out_}, exec, mode, path);
+  kernels::dense_symbolic({.in_features = in_, .out_features = out_}, exec,
+                          mode, path);
 }
 
 Tensor Dense::train_forward(const Tensor& input) {

@@ -1,58 +1,60 @@
-// Instrumented ReLU kernel — moved verbatim from nn/activation.cpp.
+// Instrumented ReLU kernel: one loop nest over an execution domain
+// (domain.hpp), instantiated traced, untraced and symbolic.
 #include "nn/kernels/activation.hpp"
 
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_kernel(const float* in_data, float* out_data, std::size_t n,
-                    Sink& sink, KernelMode mode) {
-  const std::uintptr_t negative_site = SCE_BRANCH_SITE();
+using nn::detail::kLoopOverhead;
+
+template <typename D>
+void forward_kernel(D& d, const float* in_data, float* out_data,
+                    std::size_t n, KernelMode mode) {
+  using Value = typename D::Value;
+  const auto in = d.input(in_data);
+  const auto out = d.output(out_data, n);
 
   for (std::size_t i = 0; i < n; ++i) {
-    const float v = in_data[i];
-    sink.load(&in_data[i], sizeof(float));
+    const Value v = d.load(in, i);
+    const auto negative = d.is_negative(v);
     if (mode == KernelMode::kDataDependent) {
       // `if (v < 0) out = 0; else out = v;` compiled as a branch: whether
       // it is taken depends on the sign of the activation.
-      const bool negative = v < 0.0f;
-      sink.branch(negative_site, negative);
-      out_data[i] = negative ? 0.0f : v;
-      sink.retire(detail::kLoopOverhead);
+      d.branch(SCE_KERNEL_SITE("relu sign branch (v < 0)"), negative);
+      d.retire(kLoopOverhead);
     } else {
       // Branchless maxss(v, 0).
-      out_data[i] = v < 0.0f ? 0.0f : v;
-      sink.retire(detail::kLoopOverhead + 1);
+      d.retire(kLoopOverhead + 1);
     }
-    sink.store(&out_data[i], sizeof(float));
+    d.store(out, i, d.select(negative, Value{}, v));
   }
-  sink.structural_branches(n);
+  d.structural_branches(n);
 }
 
 }  // namespace
 
 void relu_instrumented(const float* in, float* out, std::size_t n,
                        uarch::TraceSink& sink, KernelMode mode) {
-  forward_kernel(in, out, n, sink, mode);
+  TracedDomain d(sink);
+  forward_kernel(d, in, out, n, mode);
 }
 
 void relu_scalar(const float* in, float* out, std::size_t n,
                  KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_kernel(in, out, n, sink, mode);
+  TracedDomain d(sink);
+  forward_kernel(d, in, out, n, mode);
+}
+
+void relu_symbolic(std::size_t n, SymbolicExecutor& exec, KernelMode mode,
+                   ExecutionPath path) {
+  if (path == ExecutionPath::kFast) return relu_fast_model(n, exec);
+  SymbolicDomain d(exec);
+  forward_kernel(d, nullptr, nullptr, n, mode);
 }
 
 namespace {

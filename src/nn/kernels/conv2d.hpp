@@ -1,12 +1,13 @@
 // Conv2D kernel family: (algorithm × KernelMode × ExecutionPath).
 //
-// The instrumented implementations are the bodies that lived inline in
-// nn/conv.cpp, moved here verbatim — their Sink-emitting loops are the
-// leakage ground truth the trace oracle cross-validates, so their
-// structure (loop order, per-event formulas, branch sites) must not
-// drift.  The fast implementation lowers both algorithms onto one
-// transposed-im2col + register-tiled GEMM whose per-output accumulation
-// order is pinned to the instrumented loops (see conv2d_fast.cpp).
+// The instrumented implementations are one loop nest per algorithm over
+// an execution domain (domain.hpp) — their Sink-emitting loops are the
+// leakage ground truth the trace oracle cross-validates and the model
+// the analyzer derives contracts from, so their structure (loop order,
+// per-event formulas, branch sites) must not drift.  The fast
+// implementation lowers both algorithms onto one transposed-im2col +
+// register-tiled GEMM whose per-output accumulation order is pinned to
+// the instrumented loops (see conv2d_fast.cpp).
 #pragma once
 
 #include <cstddef>

@@ -1,201 +1,206 @@
 // Instrumented Conv2D kernels — the leakage ground truth.
 //
-// These loop bodies moved verbatim from nn/conv.cpp: every sink event
-// (loads, the zero-skip branch, retire bookkeeping, structural
-// back-edges) and the loop order are pinned by trace tests and the
-// oracle cross-check.  Each kernel is a template over the sink type; the
-// TraceSink instantiation serves observing sinks, the DiscardSink
-// instantiation compiles the trace calls away and is the scalar path the
-// fast kernels are measured against.
+// Every sink event (loads, the zero-skip branch, retire bookkeeping,
+// structural back-edges) and the loop order are pinned by trace tests and
+// the oracle cross-check.  Each kernel is one loop nest over an execution
+// domain (domain.hpp): the TraceSink instantiation serves observing
+// sinks, the DiscardSink instantiation compiles the trace calls away and
+// is the scalar path the fast kernels are measured against, and the
+// symbolic instantiation is the model the analyzer derives the contract
+// from.
 #include "nn/kernels/conv2d.hpp"
 
+#include "nn/conv.hpp"
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_direct(const Conv2DShape& s, Sink& sink, KernelMode mode) {
+using nn::detail::kLoopOverhead;
+using nn::detail::kMacInstructions;
+
+/// Input coordinate of output position `o`, tap `k`, or -1 when it falls
+/// in the implicit zero padding (public: index arithmetic only).
+std::ptrdiff_t tap(std::size_t o, std::size_t k, const Conv2DShape& s,
+                   std::size_t limit) {
+  const std::ptrdiff_t i = static_cast<std::ptrdiff_t>(o * s.stride + k) -
+                           static_cast<std::ptrdiff_t>(s.padding);
+  return i < static_cast<std::ptrdiff_t>(limit) ? i : -1;
+}
+
+template <typename D>
+void forward_direct(D& d, const Conv2DShape& s, KernelMode mode) {
+  using Value = typename D::Value;
   const std::size_t in_h = s.in_h;
   const std::size_t in_w = s.in_w;
   const std::size_t out_h = s.out_h;
   const std::size_t out_w = s.out_w;
-  const float* in_data = s.in;
-  const float* w_data = s.weights;
-  float* out_data = s.out;
-
-  const std::uintptr_t zero_skip_site = SCE_BRANCH_SITE();
+  const std::size_t patch_len = s.in_channels * s.kernel * s.kernel;
+  const auto in = d.input(s.in);
+  const auto weights = d.param(s.weights, "weights",
+                               s.out_channels * patch_len);
+  const auto bias = d.param(s.bias, "bias", s.out_channels);
+  const auto out = d.output(s.out, s.out_channels * out_h * out_w);
 
   for (std::size_t oc = 0; oc < s.out_channels; ++oc) {
     for (std::size_t oy = 0; oy < out_h; ++oy) {
       for (std::size_t ox = 0; ox < out_w; ++ox) {
-        float acc = s.bias[oc];
-        sink.load(&s.bias[oc], sizeof(float));
+        Value acc = d.load(bias, oc);
         for (std::size_t ic = 0; ic < s.in_channels; ++ic) {
           for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-                static_cast<std::ptrdiff_t>(s.padding);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) continue;
+            const std::ptrdiff_t iy = tap(oy, ky, s, in_h);
+            if (iy < 0) continue;
             const std::size_t in_row_base =
                 (ic * in_h + static_cast<std::size_t>(iy)) * in_w;
             const std::size_t w_row_base =
                 ((oc * s.in_channels + ic) * s.kernel + ky) * s.kernel;
             for (std::size_t kx = 0; kx < s.kernel; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * s.stride + kx) -
-                  static_cast<std::ptrdiff_t>(s.padding);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w))
-                continue;  // implicit zero padding: nothing loaded
-              const std::size_t in_idx =
-                  in_row_base + static_cast<std::size_t>(ix);
-              const float v = in_data[in_idx];
-              sink.load(&in_data[in_idx], sizeof(float));
+              const std::ptrdiff_t ix = tap(ox, kx, s, in_w);
+              if (ix < 0) continue;  // implicit zero padding: nothing loaded
+              const Value v =
+                  d.load(in, in_row_base + static_cast<std::size_t>(ix));
+              auto mac = [&] {
+                acc = acc + v * d.load(weights, w_row_base + kx);
+                d.retire(kMacInstructions + kLoopOverhead);
+              };
               if (mode == KernelMode::kDataDependent) {
                 // Zero-skipping: a zero activation contributes nothing, so
                 // the weight load and MAC are elided behind a branch.
-                const bool skip = (v == 0.0f);
-                sink.branch(zero_skip_site, skip);
-                if (skip) {
-                  sink.retire(detail::kLoopOverhead);
-                  continue;
-                }
+                d.if_else(
+                    SCE_KERNEL_SITE("conv2d zero-skip (elides weight + MAC)"),
+                    d.is_zero(v), [&] { d.retire(kLoopOverhead); }, mac);
+              } else {
+                mac();
               }
-              const float w = w_data[w_row_base + kx];
-              sink.load(&w_data[w_row_base + kx], sizeof(float));
-              acc += v * w;
-              sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
             }
           }
         }
-        out_data[(oc * out_h + oy) * out_w + ox] = acc;
-        sink.store(&out_data[(oc * out_h + oy) * out_w + ox], sizeof(float));
-        sink.retire(detail::kLoopOverhead);
+        d.store(out, (oc * out_h + oy) * out_w + ox, acc);
+        d.retire(kLoopOverhead);
         // Loop back-edges for the kx/ky/ic loops of this output pixel.
-        sink.structural_branches(s.in_channels * s.kernel * s.kernel +
-                                 s.in_channels * s.kernel + s.in_channels +
-                                 1);
+        d.structural_branches(patch_len + s.in_channels * s.kernel +
+                              s.in_channels + 1);
       }
     }
   }
 }
 
-template <typename Sink>
-void forward_im2col(const Conv2DShape& s, Workspace& workspace, Sink& sink,
+/// `patch_data` is scratch of out_h*out_w rows by patch_len columns.
+template <typename D>
+void forward_im2col(D& d, const Conv2DShape& s, float* patch_data,
                     KernelMode mode) {
+  using Value = typename D::Value;
   const std::size_t in_h = s.in_h;
   const std::size_t in_w = s.in_w;
-  const std::size_t out_h = s.out_h;
   const std::size_t out_w = s.out_w;
-  const std::size_t pixels = out_h * out_w;
+  const std::size_t pixels = s.out_h * out_w;
   const std::size_t patch_len = s.in_channels * s.kernel * s.kernel;
-  const float* in_data = s.in;
-  const float* w_data = s.weights;
+  const auto in = d.input(s.in);
+  const auto weights = d.param(s.weights, "weights",
+                               s.out_channels * patch_len);
+  const auto bias = d.param(s.bias, "bias", s.out_channels);
+  const auto patches = d.scratch(patch_data, "patches", pixels * patch_len);
+  const auto out = d.output(s.out, s.out_channels * pixels);
 
   // Phase 1: materialize the patch matrix (the "im2col" buffer).  Every
   // input element inside a window is loaded and stored once per window it
   // appears in — the extra memory traffic that distinguishes this
-  // strategy from the direct loop nest.  The buffer is workspace scratch:
-  // after the sizing pass it is reused allocation-free, and every element
-  // is written in this phase before phase 2 reads it.
-  Tensor& patches = workspace.scratch(0, pixels, patch_len);
-  float* patch_data = patches.data();
-  for (std::size_t oy = 0; oy < out_h; ++oy) {
+  // strategy from the direct loop nest.  Every element of the scratch is
+  // written here before phase 2 reads it.
+  for (std::size_t oy = 0; oy < s.out_h; ++oy) {
     for (std::size_t ox = 0; ox < out_w; ++ox) {
       const std::size_t row = oy * out_w + ox;
       std::size_t column = 0;
       for (std::size_t ic = 0; ic < s.in_channels; ++ic) {
         for (std::size_t ky = 0; ky < s.kernel; ++ky) {
           for (std::size_t kx = 0; kx < s.kernel; ++kx, ++column) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-                static_cast<std::ptrdiff_t>(s.padding);
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * s.stride + kx) -
-                static_cast<std::ptrdiff_t>(s.padding);
-            float v = 0.0f;
-            if (iy >= 0 && iy < static_cast<std::ptrdiff_t>(in_h) &&
-                ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_w)) {
-              const std::size_t in_idx =
-                  (ic * in_h + static_cast<std::size_t>(iy)) * in_w +
-                  static_cast<std::size_t>(ix);
-              v = in_data[in_idx];
-              sink.load(&in_data[in_idx], sizeof(float));
+            const std::ptrdiff_t iy = tap(oy, ky, s, in_h);
+            const std::ptrdiff_t ix = tap(ox, kx, s, in_w);
+            Value v{};
+            if (iy >= 0 && ix >= 0) {
+              v = d.load(in, (ic * in_h + static_cast<std::size_t>(iy)) *
+                                     in_w +
+                                 static_cast<std::size_t>(ix));
             }
-            patch_data[row * patch_len + column] = v;
-            sink.store(&patch_data[row * patch_len + column], sizeof(float));
-            sink.retire(detail::kLoopOverhead);
+            d.store(patches, row * patch_len + column, v);
+            d.retire(kLoopOverhead);
           }
         }
       }
-      sink.structural_branches(patch_len + s.kernel + s.in_channels + 1);
+      d.structural_branches(patch_len + s.kernel + s.in_channels + 1);
     }
   }
 
   // Phase 2: GEMM — output[oc][pixel] = bias[oc] + W[oc][:] . P[pixel][:].
   // Weight rows are exactly the {out, in, k, k} layout flattened.
-  const std::uintptr_t gemm_skip_site = SCE_BRANCH_SITE();
-  float* out_data = s.out;
   for (std::size_t oc = 0; oc < s.out_channels; ++oc) {
     for (std::size_t pixel = 0; pixel < pixels; ++pixel) {
-      float acc = s.bias[oc];
-      sink.load(&s.bias[oc], sizeof(float));
-      const float* patch_row = &patch_data[pixel * patch_len];
-      const float* weight_row = &w_data[oc * patch_len];
+      Value acc = d.load(bias, oc);
+      const auto patch_row = patches + pixel * patch_len;
+      const auto weight_row = weights + oc * patch_len;
       for (std::size_t j = 0; j < patch_len; ++j) {
-        const float v = patch_row[j];
-        sink.load(&patch_row[j], sizeof(float));
+        const Value v = d.load(patch_row, j);
+        auto mac = [&] {
+          acc = acc + v * d.load(weight_row, j);
+          d.retire(kMacInstructions + kLoopOverhead);
+        };
         if (mode == KernelMode::kDataDependent) {
-          const bool skip = (v == 0.0f);
-          sink.branch(gemm_skip_site, skip);
-          if (skip) {
-            sink.retire(detail::kLoopOverhead);
-            continue;
-          }
+          d.if_else(SCE_KERNEL_SITE("conv2d im2col GEMM zero-skip"),
+                    d.is_zero(v), [&] { d.retire(kLoopOverhead); }, mac);
+        } else {
+          mac();
         }
-        acc += v * weight_row[j];
-        sink.load(&weight_row[j], sizeof(float));
-        sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
       }
-      out_data[oc * pixels + pixel] = acc;
-      sink.store(&out_data[oc * pixels + pixel], sizeof(float));
-      sink.structural_branches(patch_len + 1);
+      d.store(out, oc * pixels + pixel, acc);
+      d.structural_branches(patch_len + 1);
     }
   }
+}
+
+float* patch_scratch(const Conv2DShape& s, Workspace& workspace) {
+  return workspace
+      .scratch(0, s.out_h * s.out_w, s.in_channels * s.kernel * s.kernel)
+      .data();
 }
 
 }  // namespace
 
 void conv2d_direct_instrumented(const Conv2DShape& s, uarch::TraceSink& sink,
                                 KernelMode mode) {
-  forward_direct(s, sink, mode);
+  TracedDomain d(sink);
+  forward_direct(d, s, mode);
 }
 
 void conv2d_direct_scalar(const Conv2DShape& s, KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_direct(s, sink, mode);
+  TracedDomain d(sink);
+  forward_direct(d, s, mode);
 }
 
 void conv2d_im2col_instrumented(const Conv2DShape& s, Workspace& workspace,
                                 uarch::TraceSink& sink, KernelMode mode) {
-  forward_im2col(s, workspace, sink, mode);
+  TracedDomain d(sink);
+  forward_im2col(d, s, patch_scratch(s, workspace), mode);
 }
 
 void conv2d_im2col_scalar(const Conv2DShape& s, Workspace& workspace,
                           KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_im2col(s, workspace, sink, mode);
+  TracedDomain d(sink);
+  forward_im2col(d, s, patch_scratch(s, workspace), mode);
+}
+
+void conv2d_symbolic(const Conv2DShape& s, ConvAlgorithm algorithm,
+                     SymbolicExecutor& exec, KernelMode mode,
+                     ExecutionPath path) {
+  if (path == ExecutionPath::kFast) return conv2d_fast_model(s, exec);
+  SymbolicDomain d(exec);
+  if (algorithm == ConvAlgorithm::kIm2col)
+    forward_im2col(d, s, nullptr, mode);
+  else
+    forward_direct(d, s, mode);
 }
 
 namespace {

@@ -1,75 +1,73 @@
-// Instrumented Dense kernel — moved verbatim from nn/dense.cpp.
+// Instrumented Dense kernel: one loop nest over an execution domain
+// (domain.hpp), instantiated traced, untraced and symbolic.
 #include "nn/kernels/dense.hpp"
 
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_kernel(const DenseShape& s, Sink& sink, KernelMode mode) {
+using nn::detail::kLoopOverhead;
+using nn::detail::kMacInstructions;
+
+template <typename D>
+void forward_kernel(D& d, const DenseShape& s, KernelMode mode) {
+  using Value = typename D::Value;
   const std::size_t in = s.in_features;
   const std::size_t out = s.out_features;
-  const float* x = s.in;
-  const float* w = s.weights;
-  float* y = s.out;
-
-  const std::uintptr_t row_skip_site = SCE_BRANCH_SITE();
+  const auto x = d.input(s.in);
+  const auto w = d.param(s.weights, "weights", in * out);
+  const auto bias = d.param(s.bias, "bias", out);
+  const auto y = d.output(s.out, out);
 
   // Accumulators initialized with the bias vector.
-  for (std::size_t o = 0; o < out; ++o) {
-    y[o] = s.bias[o];
-    sink.load(&s.bias[o], sizeof(float));
-    sink.store(&y[o], sizeof(float));
-  }
-  sink.structural_branches(out);
+  for (std::size_t o = 0; o < out; ++o) d.store(y, o, d.load(bias, o));
+  d.structural_branches(out);
 
   for (std::size_t i = 0; i < in; ++i) {
-    const float v = x[i];
-    sink.load(&x[i], sizeof(float));
+    const Value v = d.load(x, i);
+    const auto row = w + i * out;
+    auto stream_row = [&] {
+      for (std::size_t o = 0; o < out; ++o) {
+        const Value wv = d.load(row, o);
+        d.store(y, o, d.value(y, o) + v * wv);
+        d.retire(kMacInstructions + kLoopOverhead);
+      }
+      d.structural_branches(out + 1);
+    };
     if (mode == KernelMode::kDataDependent) {
       // Sparse-GEMM row skip: a zero activation's whole weight row is
       // never touched and its inner loop never runs.
-      const bool skip = (v == 0.0f);
-      sink.branch(row_skip_site, skip);
-      if (skip) {
-        sink.retire(detail::kLoopOverhead);
-        continue;
-      }
+      d.if_else(SCE_KERNEL_SITE("dense row-skip (x[i]==0 elides the row)"),
+                d.is_zero(v), [&] { d.retire(kLoopOverhead); }, stream_row);
+    } else {
+      stream_row();
     }
-    const float* row = &w[i * out];
-    for (std::size_t o = 0; o < out; ++o) {
-      sink.load(&row[o], sizeof(float));
-      y[o] += v * row[o];
-      sink.store(&y[o], sizeof(float));
-      sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
-    }
-    sink.structural_branches(out + 1);
   }
-  sink.structural_branches(in);
+  d.structural_branches(in);
 }
 
 }  // namespace
 
 void dense_instrumented(const DenseShape& s, uarch::TraceSink& sink,
                         KernelMode mode) {
-  forward_kernel(s, sink, mode);
+  TracedDomain d(sink);
+  forward_kernel(d, s, mode);
 }
 
 void dense_scalar(const DenseShape& s, KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_kernel(s, sink, mode);
+  TracedDomain d(sink);
+  forward_kernel(d, s, mode);
+}
+
+void dense_symbolic(const DenseShape& s, SymbolicExecutor& exec,
+                    KernelMode mode, ExecutionPath path) {
+  if (path == ExecutionPath::kFast) return dense_fast_model(s, exec, mode);
+  SymbolicDomain d(exec);
+  forward_kernel(d, s, mode);
 }
 
 namespace {

@@ -1,96 +1,83 @@
-// Instrumented pooling kernels — moved verbatim from nn/pool.cpp and
-// nn/avgpool.cpp.
+// Instrumented pooling kernels: one loop nest each over an execution
+// domain (domain.hpp), instantiated traced, untraced and symbolic.
 #include "nn/kernels/pooling.hpp"
 
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void maxpool_kernel(const Pool2DShape& s, Sink& sink, KernelMode mode) {
-  const float* in_data = s.in;
-  float* out_data = s.out;
+using nn::detail::kCompareInstructions;
+using nn::detail::kLoopOverhead;
 
-  const std::uintptr_t max_update_site = SCE_BRANCH_SITE();
+template <typename D>
+void maxpool_kernel(D& d, const Pool2DShape& s, KernelMode mode) {
+  using Value = typename D::Value;
+  const auto in = d.input(s.in);
+  const auto out = d.output(s.out, s.channels * s.out_h * s.out_w);
 
   for (std::size_t c = 0; c < s.channels; ++c) {
     for (std::size_t oy = 0; oy < s.out_h; ++oy) {
       for (std::size_t ox = 0; ox < s.out_w; ++ox) {
-        float best = 0.0f;
+        Value best{};
         bool first = true;
         for (std::size_t wy = 0; wy < s.window; ++wy) {
           for (std::size_t wx = 0; wx < s.window; ++wx) {
             const std::size_t idx =
                 (c * s.in_h + (oy * s.window + wy)) * s.in_w +
                 (ox * s.window + wx);
-            const float v = in_data[idx];
-            sink.load(&in_data[idx], sizeof(float));
+            const Value v = d.load(in, idx);
             if (first) {
               best = v;
               first = false;
-              sink.retire(detail::kLoopOverhead);
+              d.retire(kLoopOverhead);
               continue;
             }
+            const auto update = d.greater(v, best);
             if (mode == KernelMode::kDataDependent) {
               // Which window element is the max depends on the data; the
               // update is a real conditional branch.
-              const bool update = v > best;
-              sink.branch(max_update_site, update);
-              if (update) best = v;
-              sink.retire(detail::kCompareInstructions);
+              d.branch(SCE_KERNEL_SITE("maxpool max-update branch"), update);
+              d.retire(kCompareInstructions);
             } else {
               // Branchless max (cmov / maxss).
-              best = v > best ? v : best;
-              sink.retire(detail::kCompareInstructions + 1);
+              d.retire(kCompareInstructions + 1);
             }
+            best = d.select(update, v, best);
           }
         }
-        const std::size_t out_idx = (c * s.out_h + oy) * s.out_w + ox;
-        out_data[out_idx] = best;
-        sink.store(&out_data[out_idx], sizeof(float));
-        sink.structural_branches(s.window * s.window + s.window + 1);
+        d.store(out, (c * s.out_h + oy) * s.out_w + ox, best);
+        d.structural_branches(s.window * s.window + s.window + 1);
       }
     }
   }
 }
 
-template <typename Sink>
-void avgpool_kernel(const Pool2DShape& s, Sink& sink) {
-  const float* in_data = s.in;
-  float* out_data = s.out;
+template <typename D>
+void avgpool_kernel(D& d, const Pool2DShape& s) {
+  using Value = typename D::Value;
+  const auto in = d.input(s.in);
+  const auto out = d.output(s.out, s.channels * s.out_h * s.out_w);
   const float inv_area = 1.0f / static_cast<float>(s.window * s.window);
 
   for (std::size_t c = 0; c < s.channels; ++c) {
     for (std::size_t oy = 0; oy < s.out_h; ++oy) {
       for (std::size_t ox = 0; ox < s.out_w; ++ox) {
-        float sum = 0.0f;
+        Value sum{};
         for (std::size_t wy = 0; wy < s.window; ++wy) {
           for (std::size_t wx = 0; wx < s.window; ++wx) {
             const std::size_t idx =
                 (c * s.in_h + (oy * s.window + wy)) * s.in_w +
                 (ox * s.window + wx);
-            sum += in_data[idx];
-            sink.load(&in_data[idx], sizeof(float));
-            sink.retire(detail::kLoopOverhead + 1);
+            sum = sum + d.load(in, idx);
+            d.retire(kLoopOverhead + 1);
           }
         }
-        const std::size_t out_idx = (c * s.out_h + oy) * s.out_w + ox;
-        out_data[out_idx] = sum * inv_area;
-        sink.store(&out_data[out_idx], sizeof(float));
-        sink.retire(1);
-        sink.structural_branches(s.window * s.window + s.window + 1);
+        d.store(out, (c * s.out_h + oy) * s.out_w + ox, sum * inv_area);
+        d.retire(1);
+        d.structural_branches(s.window * s.window + s.window + 1);
       }
     }
   }
@@ -100,21 +87,39 @@ void avgpool_kernel(const Pool2DShape& s, Sink& sink) {
 
 void maxpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink,
                             KernelMode mode) {
-  maxpool_kernel(s, sink, mode);
+  TracedDomain d(sink);
+  maxpool_kernel(d, s, mode);
 }
 
 void maxpool2d_scalar(const Pool2DShape& s, KernelMode mode) {
   uarch::DiscardSink sink;
-  maxpool_kernel(s, sink, mode);
+  TracedDomain d(sink);
+  maxpool_kernel(d, s, mode);
+}
+
+void maxpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
+                        KernelMode mode, ExecutionPath path) {
+  if (path == ExecutionPath::kFast) return maxpool2d_fast_model(s, exec);
+  SymbolicDomain d(exec);
+  maxpool_kernel(d, s, mode);
 }
 
 void avgpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink) {
-  avgpool_kernel(s, sink);
+  TracedDomain d(sink);
+  avgpool_kernel(d, s);
 }
 
 void avgpool2d_scalar(const Pool2DShape& s) {
   uarch::DiscardSink sink;
-  avgpool_kernel(s, sink);
+  TracedDomain d(sink);
+  avgpool_kernel(d, s);
+}
+
+void avgpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
+                        ExecutionPath path) {
+  if (path == ExecutionPath::kFast) return avgpool2d_fast_model(s, exec);
+  SymbolicDomain d(exec);
+  avgpool_kernel(d, s);
 }
 
 namespace {

@@ -1,104 +1,77 @@
-// Instrumented Elman RNN kernel — moved verbatim from nn/rnn.cpp.
+// Instrumented Elman RNN kernel: one loop nest over an execution domain
+// (domain.hpp), instantiated traced, untraced and symbolic.
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/rnn.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_kernel(const RnnShape& s, Sink& sink, KernelMode mode) {
+using nn::detail::kLoopOverhead;
+using nn::detail::kMacInstructions;
+
+template <typename D>
+void forward_kernel(D& d, const RnnShape& s, KernelMode mode) {
+  using Value = typename D::Value;
   const std::size_t input_dim = s.input_dim;
   const std::size_t hidden_dim = s.hidden_dim;
-  const float* x = s.in;
-  const float* wx = s.wx;
-  const float* wh = s.wh;
-  float* h = s.h;
-  float* acc = s.acc;
+  const auto x = d.input(s.in);
+  const auto wx = d.param(s.wx, "wx", input_dim * hidden_dim);
+  const auto wh = d.param(s.wh, "wh", hidden_dim * hidden_dim);
+  const auto bias = d.param(s.bias, "bias", hidden_dim);
+  const auto h = d.output(s.h, hidden_dim);  // pre-zeroed h_0
+  const auto acc = d.scratch(s.acc, "acc", hidden_dim);
 
-  const std::uintptr_t input_skip_site = SCE_BRANCH_SITE();
-  const std::uintptr_t hidden_skip_site = SCE_BRANCH_SITE();
-  const std::uintptr_t relu_site = SCE_BRANCH_SITE();
+  // acc += W^T v, input-stationary: row i streams into the accumulator
+  // unless (data-dependent mode) v[i] is zero and the row is skipped.
+  auto axpy_sweep = [&](const KernelSite& skip_site, auto v_src,
+                        std::size_t dim, auto weights) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      const Value v = d.load(v_src, i);
+      const auto row = weights + i * hidden_dim;
+      auto stream_row = [&] {
+        for (std::size_t j = 0; j < hidden_dim; ++j) {
+          const Value wv = d.load(row, j);
+          d.store(acc, j, d.value(acc, j) + v * wv);
+          d.retire(kMacInstructions + kLoopOverhead);
+        }
+        d.structural_branches(hidden_dim + 1);
+      };
+      if (mode == KernelMode::kDataDependent)
+        d.if_else(skip_site, d.is_zero(v), [&] { d.retire(kLoopOverhead); },
+                  stream_row);
+      else
+        stream_row();
+    }
+    d.structural_branches(dim);
+  };
 
   for (std::size_t t = 0; t < s.t_steps; ++t) {
     // acc = b
-    for (std::size_t j = 0; j < hidden_dim; ++j) {
-      acc[j] = s.bias[j];
-      sink.load(&s.bias[j], sizeof(float));
-      sink.store(&acc[j], sizeof(float));
-    }
-    sink.structural_branches(hidden_dim);
-    // acc += Wx^T x_t, input-stationary with zero-skipping rows.
-    const float* xt = &x[t * input_dim];
-    for (std::size_t i = 0; i < input_dim; ++i) {
-      const float v = xt[i];
-      sink.load(&xt[i], sizeof(float));
-      if (mode == KernelMode::kDataDependent) {
-        const bool skip = (v == 0.0f);
-        sink.branch(input_skip_site, skip);
-        if (skip) {
-          sink.retire(detail::kLoopOverhead);
-          continue;
-        }
-      }
-      const float* row = &wx[i * hidden_dim];
-      for (std::size_t j = 0; j < hidden_dim; ++j) {
-        sink.load(&row[j], sizeof(float));
-        acc[j] += v * row[j];
-        sink.store(&acc[j], sizeof(float));
-        sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
-      }
-      sink.structural_branches(hidden_dim + 1);
-    }
-    sink.structural_branches(input_dim);
-    // acc += Wh^T h_{t-1}: ReLU-sparse hidden state skips its rows too.
-    for (std::size_t i = 0; i < hidden_dim; ++i) {
-      const float v = h[i];
-      sink.load(&h[i], sizeof(float));
-      if (mode == KernelMode::kDataDependent) {
-        const bool skip = (v == 0.0f);
-        sink.branch(hidden_skip_site, skip);
-        if (skip) {
-          sink.retire(detail::kLoopOverhead);
-          continue;
-        }
-      }
-      const float* row = &wh[i * hidden_dim];
-      for (std::size_t j = 0; j < hidden_dim; ++j) {
-        sink.load(&row[j], sizeof(float));
-        acc[j] += v * row[j];
-        sink.store(&acc[j], sizeof(float));
-        sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
-      }
-      sink.structural_branches(hidden_dim + 1);
-    }
-    sink.structural_branches(hidden_dim);
+    for (std::size_t j = 0; j < hidden_dim; ++j)
+      d.store(acc, j, d.load(bias, j));
+    d.structural_branches(hidden_dim);
+    axpy_sweep(SCE_KERNEL_SITE("rnn input row-skip (x_t[i]==0)"),
+               x + t * input_dim, input_dim, wx);
+    // ReLU-sparse hidden state skips its rows too.  All reads of h
+    // precede its rewrite below.
+    axpy_sweep(SCE_KERNEL_SITE("rnn hidden row-skip (h[i]==0)"), h,
+               hidden_dim, wh);
     // h = ReLU(acc)
     for (std::size_t j = 0; j < hidden_dim; ++j) {
-      const float v = acc[j];
-      sink.load(&acc[j], sizeof(float));
+      const Value v = d.load(acc, j);
+      const auto negative = d.is_negative(v);
       if (mode == KernelMode::kDataDependent) {
-        const bool negative = v < 0.0f;
-        sink.branch(relu_site, negative);
-        h[j] = negative ? 0.0f : v;
-        sink.retire(detail::kLoopOverhead);
+        d.branch(SCE_KERNEL_SITE("rnn recurrent ReLU sign branch"),
+                 negative);
+        d.retire(kLoopOverhead);
       } else {
-        h[j] = v < 0.0f ? 0.0f : v;
-        sink.retire(detail::kLoopOverhead + 1);
+        d.retire(kLoopOverhead + 1);
       }
-      sink.store(&h[j], sizeof(float));
+      d.store(h, j, d.select(negative, Value{}, v));
     }
-    sink.structural_branches(hidden_dim + 1);
+    d.structural_branches(hidden_dim + 1);
   }
 }
 
@@ -106,12 +79,21 @@ void forward_kernel(const RnnShape& s, Sink& sink, KernelMode mode) {
 
 void rnn_instrumented(const RnnShape& s, uarch::TraceSink& sink,
                       KernelMode mode) {
-  forward_kernel(s, sink, mode);
+  TracedDomain d(sink);
+  forward_kernel(d, s, mode);
 }
 
 void rnn_scalar(const RnnShape& s, KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_kernel(s, sink, mode);
+  TracedDomain d(sink);
+  forward_kernel(d, s, mode);
+}
+
+void rnn_symbolic(const RnnShape& s, SymbolicExecutor& exec, KernelMode mode,
+                  ExecutionPath path) {
+  if (path == ExecutionPath::kFast) return rnn_fast_model(s, exec, mode);
+  SymbolicDomain d(exec);
+  forward_kernel(d, s, mode);
 }
 
 namespace {

@@ -1,57 +1,64 @@
-// Instrumented softmax kernel — moved verbatim from nn/shape_ops.cpp.
-#include <cmath>
-
+// Instrumented softmax kernel: one loop nest over an execution domain
+// (domain.hpp), instantiated traced, untraced and symbolic.
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/softmax.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_kernel(const float* x, float* y, std::size_t n, Sink& sink) {
-  float max_v = x[0];
+using nn::detail::kCompareInstructions;
+using nn::detail::kLoopOverhead;
+
+template <typename D>
+void forward_kernel(D& d, const float* x_data, float* y_data,
+                    std::size_t n) {
+  using Value = typename D::Value;
+  const auto x = d.input(x_data);
+  const auto y = d.output(y_data, n);
+
+  // The running-max compare compiles to a cmov: no branch event.
+  Value max_v = d.value(x, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    sink.load(&x[i], sizeof(float));
-    if (x[i] > max_v) max_v = x[i];
-    sink.retire(detail::kCompareInstructions + 1);
+    const Value v = d.load(x, i);
+    max_v = d.select(d.greater(v, max_v), v, max_v);
+    d.retire(kCompareInstructions + 1);
   }
-  float sum = 0.0f;
+  Value sum{};
   for (std::size_t i = 0; i < n; ++i) {
-    y[i] = std::exp(x[i] - max_v);
-    sum += y[i];
-    sink.store(&y[i], sizeof(float));
+    const Value e = d.exp(d.value(x, i) - max_v);
+    sum = sum + e;
+    d.store(y, i, e);
     // exp() costs ~20 instructions in a vectorized libm.
-    sink.retire(20);
+    d.retire(20);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    y[i] /= sum;
-    sink.store(&y[i], sizeof(float));
-    sink.retire(detail::kLoopOverhead + 1);
+    d.store(y, i, d.value(y, i) / sum);
+    d.retire(kLoopOverhead + 1);
   }
-  sink.structural_branches(3 * n);
+  d.structural_branches(3 * n);
 }
 
 }  // namespace
 
 void softmax_instrumented(const float* in, float* out, std::size_t n,
                           uarch::TraceSink& sink) {
-  forward_kernel(in, out, n, sink);
+  TracedDomain d(sink);
+  forward_kernel(d, in, out, n);
 }
 
 void softmax_scalar(const float* in, float* out, std::size_t n) {
   uarch::DiscardSink sink;
-  forward_kernel(in, out, n, sink);
+  TracedDomain d(sink);
+  forward_kernel(d, in, out, n);
+}
+
+void softmax_symbolic(std::size_t n, SymbolicExecutor& exec,
+                      ExecutionPath path) {
+  if (path == ExecutionPath::kFast) return softmax_fast_model(n, exec);
+  SymbolicDomain d(exec);
+  forward_kernel(d, nullptr, nullptr, n);
 }
 
 namespace {

@@ -1,27 +1,26 @@
-// Symbolic kernel descriptions: every kernel in this directory, restated
-// as a program over an abstract executor instead of float buffers.
+// The symbolic half of the kernels: an abstract executor whose values
+// carry only a secrecy taint.
 //
-// The real kernels compute on concrete floats and report their dynamic
-// behaviour to a TraceSink; these models replay the *same loop nests and
-// event sites* against a SymbolicExecutor, whose values carry only a
-// secrecy taint.  Loop trip counts stay concrete (shapes come from the
-// InferencePlan's shape inference), data stays symbolic — so one run of a
-// model covers every input of that shape, and the engine behind the
-// executor (src/analysis/symexec) can decide which trace aspects *can*
-// vary with the secret input.  That derived LeakageContract is compared
-// against the hand-declared one: a lying or stale declaration becomes a
-// static lint failure instead of waiting for the dynamic oracle.
+// Loop trip counts stay concrete (shapes come from the InferencePlan's
+// shape inference) while data stays symbolic, so one run covers every
+// input of that shape, and the engine behind the executor
+// (src/analysis/symexec) can decide which trace aspects *can* vary with
+// the secret input.  That derived LeakageContract is compared against
+// the hand-declared one: a lying or stale declaration becomes a static
+// lint failure instead of waiting for the dynamic oracle.
 //
-// Two fidelity conventions, one per execution path:
-//  * Instrumented models mirror the kernel's *emitted sink events*
-//    exactly (same sites, same loop structure, same guarded regions).
-//    The dynamic trace oracle validates this mirror end to end: derived
-//    claims must match what RecordingSink probes actually observe.
-//  * Fast models mirror the *source structure of the generated code*
-//    (a lane blend is branchless; a scalar row-skip is a real branch; a
-//    source loop inside a skipped region counts as structural branches
-//    even if the compiler unrolls it — conservative in the direction
-//    that never hides a leak).
+// Where a kernel's symbolic run comes from, per execution path:
+//  * Instrumented kernels are their own model.  Each is one loop nest
+//    over an execution domain (domain.hpp); its SymbolicDomain
+//    instantiation emits exactly the sites, events and guarded regions
+//    the traced instantiation reports to a sink, and witnesses name the
+//    kernel's own source lines.
+//  * Fast kernels keep hand-written models (symbolic_models.cpp) that
+//    mirror the *source structure of the generated code* (a lane blend
+//    is branchless; a scalar row-skip is a real branch; a source loop
+//    inside a skipped region counts as structural branches even if the
+//    compiler unrolls it — conservative in the direction that never
+//    hides a leak).
 #pragma once
 
 #include <cstddef>
@@ -39,6 +38,11 @@ enum class ConvAlgorithm;
 }
 
 namespace sce::nn::kernels {
+
+struct Conv2DShape;
+struct DenseShape;
+struct Pool2DShape;
+struct RnnShape;
 
 /// Two-point secrecy lattice: the abstract "value" of the symbolic
 /// domain.  kSecret marks data derived from the model input; parameters
@@ -69,26 +73,28 @@ struct SymBuffer {
   std::size_t id = 0;
 };
 
-/// Source location of a leak-relevant construct inside a symbolic model.
-/// The file/line point into the model translation unit; the label names
-/// the mirrored kernel construct (e.g. "dense row-skip (x[i]==0)"), so a
-/// witness survives even when the model and kernel files diverge.
+/// Source location of a leak-relevant construct: a kernel line (through
+/// SCE_KERNEL_SITE, domain.hpp) or a line of a hand-written fast model.
+/// The label names the construct (e.g. "dense row-skip (x[i]==0)").
 struct SymSite {
   const char* file = "";
   int line = 0;
   const char* label = "";
 };
 
+/// A site of a hand-written model or custom layer; kernels use
+/// SCE_KERNEL_SITE, which also yields the branch predictor's pc.
 #define SCE_SYM_SITE(label) \
   (::sce::nn::kernels::SymSite{__FILE__, __LINE__, (label)})
 
-/// The abstract machine a symbolic kernel model runs against.  Mirrors
+/// The abstract machine a symbolic kernel run executes against.  Mirrors
 /// the TraceSink event vocabulary (load/store/branch/retire/structural)
 /// plus the control construct the sink cannot express: a region whose
 /// *execution* depends on a predicate (`if_else`), which is what turns
 /// value taint into count/address variance.
 ///
-/// Contract for model authors:
+/// Contract for hand-written models (kernels reach the executor through
+/// SymbolicDomain, which follows it by construction):
 ///  * Use `load`/`store` for accesses the real kernel performs (traced
 ///    or machine-level), `value`/`assign` for taint bookkeeping with no
 ///    memory traffic (views, register copies).
@@ -114,11 +120,6 @@ class SymbolicExecutor {
   /// element index.
   virtual SymValue load(SymBuffer buffer, std::size_t index) = 0;
   virtual void store(SymBuffer buffer, std::size_t index, SymValue v) = 0;
-  /// A read whose *address* is itself data-derived (table lookup keyed
-  /// on an activation): leaks through the address stream no matter what
-  /// the control flow does.
-  virtual SymValue load_indexed(const SymSite& site, SymBuffer buffer,
-                                SymValue index) = 0;
   /// Taint bookkeeping without memory traffic.
   virtual SymValue value(SymBuffer buffer, std::size_t index) = 0;
   virtual void assign(SymBuffer buffer, std::size_t index, SymValue v) = 0;
@@ -148,65 +149,45 @@ class SymbolicExecutor {
   virtual void unmodeled(const char* why) = 0;
 };
 
-/// Per-op geometry, mirroring the pointerless half of the kernel shape
-/// structs.  Layers fill these exactly the way forward_into fills
-/// Conv2DShape/DenseShape/....
-struct DenseGeom {
-  std::size_t in_features = 0;
-  std::size_t out_features = 0;
-};
-
-struct Conv2DGeom {
-  std::size_t in_channels = 0;
-  std::size_t out_channels = 0;
-  std::size_t kernel = 0;
-  std::size_t stride = 0;
-  std::size_t padding = 0;
-  std::size_t in_h = 0;
-  std::size_t in_w = 0;
-  std::size_t out_h = 0;
-  std::size_t out_w = 0;
-};
-
-struct Pool2DGeom {
-  std::size_t channels = 0;
-  std::size_t in_h = 0;
-  std::size_t in_w = 0;
-  std::size_t out_h = 0;
-  std::size_t out_w = 0;
-  std::size_t window = 0;
-};
-
-struct RnnGeom {
-  std::size_t t_steps = 0;
-  std::size_t input_dim = 0;
-  std::size_t hidden_dim = 0;
-};
-
-/// Symbolic models, one per registered op, covering both modes and both
-/// paths (the `path` argument selects which implementation's structure
-/// is replayed).  Implemented in symbolic_models.cpp.
-void conv2d_symbolic(const Conv2DGeom& g, ConvAlgorithm algorithm,
+/// Symbolic run of each registered op for (mode, path), reading only the
+/// geometry of the kernel shape struct (its pointers are ignored).  The
+/// instrumented path instantiates the kernel's own loop nest over
+/// SymbolicDomain (defined next to it in *_instrumented.cpp); the fast
+/// path runs the fast kernel's hand-written model below.
+void conv2d_symbolic(const Conv2DShape& s, ConvAlgorithm algorithm,
                      SymbolicExecutor& exec, KernelMode mode,
                      ExecutionPath path);
-void dense_symbolic(const DenseGeom& g, SymbolicExecutor& exec,
+void dense_symbolic(const DenseShape& s, SymbolicExecutor& exec,
                     KernelMode mode, ExecutionPath path);
 void relu_symbolic(std::size_t n, SymbolicExecutor& exec, KernelMode mode,
                    ExecutionPath path);
-void maxpool2d_symbolic(const Pool2DGeom& g, SymbolicExecutor& exec,
+void maxpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
                         KernelMode mode, ExecutionPath path);
-void avgpool2d_symbolic(const Pool2DGeom& g, SymbolicExecutor& exec,
+void avgpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
                         ExecutionPath path);
 void softmax_symbolic(std::size_t n, SymbolicExecutor& exec,
                       ExecutionPath path);
-void rnn_symbolic(const RnnGeom& g, SymbolicExecutor& exec, KernelMode mode,
+void rnn_symbolic(const RnnShape& s, SymbolicExecutor& exec, KernelMode mode,
                   ExecutionPath path);
 
-/// Registry of modeled (op, mode, path) cells, self-registered by
-/// symbolic_models.cpp the way kernel TUs register KernelEntries.  The
-/// completeness test walks kernels::all_kernels() and requires
-/// has_symbolic_model for every cell, so a new kernel cannot land
-/// unanalyzed.
+/// Hand-written models of the fast kernels (symbolic_models.cpp).  Both
+/// conv2d algorithms lower onto one fast GEMM, so one model serves both.
+void conv2d_fast_model(const Conv2DShape& s, SymbolicExecutor& exec);
+void dense_fast_model(const DenseShape& s, SymbolicExecutor& exec,
+                      KernelMode mode);
+void relu_fast_model(std::size_t n, SymbolicExecutor& exec);
+void maxpool2d_fast_model(const Pool2DShape& s, SymbolicExecutor& exec);
+void avgpool2d_fast_model(const Pool2DShape& s, SymbolicExecutor& exec);
+void softmax_fast_model(std::size_t n, SymbolicExecutor& exec);
+void rnn_fast_model(const RnnShape& s, SymbolicExecutor& exec,
+                    KernelMode mode);
+
+/// Registry of the hand-modeled (op, mode, fast) cells, self-registered
+/// by symbolic_models.cpp the way kernel TUs register KernelEntries.  The
+/// completeness test walks the fast cells of kernels::all_kernels() and
+/// requires has_symbolic_model for each, so a new fast kernel cannot
+/// land unanalyzed.  Instrumented cells need no entry: their symbolic
+/// run is the kernel itself.
 struct SymbolicModelEntry {
   const char* op;
   KernelMode mode;

@@ -1,82 +1,55 @@
-// Symbolic models for every registered kernel, instrumented and fast.
+// Symbolic models of the fast kernels.
 //
-// Each model replays its kernel's loop nest over the abstract domain.
-// The instrumented models mirror the sink-event streams of
-// *_instrumented.cpp line for line: same event order, same guarded
-// regions, same retire amounts.  (One subtlety worth naming: softmax's
-// running-max compare emits no branch event in the real kernel, so it is
-// — correctly — absent here too.)  The fast models mirror the source
-// structure of *_fast.cpp: lane blends are branchless, the scalar
-// row-skip branches of dense/rnn survive, and the loops inside a skipped
-// row count as structural branches (the conservative source-level view;
-// an unrolling compiler can only remove branches, and the elided loads
-// alone already carry the leak).
+// Instrumented kernels need no model here: each is one loop nest over an
+// execution domain, and its SymbolicDomain instantiation is its model
+// (see domain.hpp).  The fast kernels are GCC vector code that does not
+// template over a domain, so each keeps a hand-written model that mirrors
+// the source structure of *_fast.cpp: lane blends are branchless, the
+// scalar row-skip branches of dense/rnn survive, and the loops inside a
+// skipped row count as structural branches (the conservative
+// source-level view; an unrolling compiler can only remove branches, and
+// the elided loads alone already carry the leak).
 //
-// Trip counts are concrete; only the data is symbolic.  A model run is a
-// few hundred thousand cheap virtual calls for the largest zoo layer —
-// milliseconds, paid only inside the analyzer.
+// Trip counts are concrete; only the data is symbolic.  Only the
+// geometry of the kernel shape structs is read, never their pointers.
 #include "nn/kernels/symbolic.hpp"
 
 #include <algorithm>
 #include <cstring>
 
-#include "nn/conv.hpp"
+#include "nn/kernels/conv2d.hpp"
+#include "nn/kernels/dense.hpp"
+#include "nn/kernels/pooling.hpp"
+#include "nn/kernels/rnn.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
+
+namespace {
+
 using nn::detail::kCompareInstructions;
 using nn::detail::kLoopOverhead;
 using nn::detail::kMacInstructions;
-}  // namespace detail
 
-namespace {
+bool in_bounds(std::size_t o, std::size_t stride, std::size_t k,
+               std::size_t padding, std::size_t limit) {
+  const std::ptrdiff_t i = static_cast<std::ptrdiff_t>(o * stride + k) -
+                           static_cast<std::ptrdiff_t>(padding);
+  return i >= 0 && i < static_cast<std::ptrdiff_t>(limit);
+}
+
+std::size_t in_index(std::size_t o, std::size_t stride, std::size_t k,
+                     std::size_t padding) {
+  return o * stride + k - padding;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------
 // Dense
 // ---------------------------------------------------------------------
 
-void dense_instrumented_model(const DenseGeom& g, SymbolicExecutor& exec,
-                              KernelMode mode) {
-  const std::size_t in = g.in_features;
-  const std::size_t out = g.out_features;
-  const SymBuffer x = exec.input_buffer();
-  const SymBuffer w = exec.param_buffer("weights", in * out);
-  const SymBuffer b = exec.param_buffer("bias", out);
-  const SymBuffer y = exec.output_buffer(out);
-
-  for (std::size_t o = 0; o < out; ++o) {
-    exec.store(y, o, exec.load(b, o));
-  }
-  exec.structural_branches(out);
-
-  for (std::size_t i = 0; i < in; ++i) {
-    const SymValue v = exec.load(x, i);
-    if (mode == KernelMode::kDataDependent) {
-      exec.if_else(
-          SCE_SYM_SITE("dense row-skip (x[i]==0 elides the weight row)"), v,
-          [&] { exec.retire(detail::kLoopOverhead); },
-          [&] {
-            for (std::size_t o = 0; o < out; ++o) {
-              const SymValue wv = exec.load(w, i * out + o);
-              exec.store(y, o, join(exec.value(y, o), v, wv));
-              exec.retire(detail::kMacInstructions + detail::kLoopOverhead);
-            }
-            exec.structural_branches(out + 1);
-          });
-    } else {
-      for (std::size_t o = 0; o < out; ++o) {
-        const SymValue wv = exec.load(w, i * out + o);
-        exec.store(y, o, join(exec.value(y, o), v, wv));
-        exec.retire(detail::kMacInstructions + detail::kLoopOverhead);
-      }
-      exec.structural_branches(out + 1);
-    }
-  }
-  exec.structural_branches(in);
-}
-
-void dense_fast_model(const DenseGeom& g, SymbolicExecutor& exec,
+void dense_fast_model(const DenseShape& g, SymbolicExecutor& exec,
                       KernelMode mode) {
   const std::size_t in = g.in_features;
   const std::size_t out = g.out_features;
@@ -102,7 +75,7 @@ void dense_fast_model(const DenseGeom& g, SymbolicExecutor& exec,
             for (std::size_t o = 0; o < out; ++o) {
               const SymValue wv = exec.load(w, i * out + o);
               exec.assign(y, o, join(exec.value(y, o), v, wv));
-              exec.retire(detail::kMacInstructions);
+              exec.retire(kMacInstructions);
             }
             // The row's vector-lane loop back-edges (source level).
             exec.structural_branches(out + 1);
@@ -111,7 +84,7 @@ void dense_fast_model(const DenseGeom& g, SymbolicExecutor& exec,
       for (std::size_t o = 0; o < out; ++o) {
         const SymValue wv = exec.load(w, i * out + o);
         exec.assign(y, o, join(exec.value(y, o), v, wv));
-        exec.retire(detail::kMacInstructions);
+        exec.retire(kMacInstructions);
       }
       exec.structural_branches(out + 1);
     }
@@ -119,138 +92,7 @@ void dense_fast_model(const DenseGeom& g, SymbolicExecutor& exec,
   for (std::size_t o = 0; o < out; ++o) exec.store(y, o, exec.value(y, o));
 }
 
-// ---------------------------------------------------------------------
-// Conv2D (direct and im2col share the instrumented zero-skip structure)
-// ---------------------------------------------------------------------
-
-bool in_bounds(std::size_t o, std::size_t stride, std::size_t k,
-               std::size_t padding, std::size_t limit) {
-  const std::ptrdiff_t i = static_cast<std::ptrdiff_t>(o * stride + k) -
-                           static_cast<std::ptrdiff_t>(padding);
-  return i >= 0 && i < static_cast<std::ptrdiff_t>(limit);
-}
-
-std::size_t in_index(std::size_t o, std::size_t stride, std::size_t k,
-                     std::size_t padding) {
-  return o * stride + k - padding;
-}
-
-void conv2d_direct_instrumented_model(const Conv2DGeom& g,
-                                      SymbolicExecutor& exec,
-                                      KernelMode mode) {
-  const SymBuffer in = exec.input_buffer();
-  const SymBuffer w = exec.param_buffer(
-      "weights", g.out_channels * g.in_channels * g.kernel * g.kernel);
-  const SymBuffer b = exec.param_buffer("bias", g.out_channels);
-  const SymBuffer out =
-      exec.output_buffer(g.out_channels * g.out_h * g.out_w);
-
-  for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        SymValue acc = exec.load(b, oc);
-        for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
-          for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-            // Padding bounds are public (index arithmetic): plain C++
-            // control flow, exactly like the kernel's untraced `continue`.
-            if (!in_bounds(oy, g.stride, ky, g.padding, g.in_h)) continue;
-            const std::size_t iy = in_index(oy, g.stride, ky, g.padding);
-            const std::size_t w_row_base =
-                ((oc * g.in_channels + ic) * g.kernel + ky) * g.kernel;
-            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
-              if (!in_bounds(ox, g.stride, kx, g.padding, g.in_w)) continue;
-              const std::size_t ix = in_index(ox, g.stride, kx, g.padding);
-              const std::size_t in_idx = (ic * g.in_h + iy) * g.in_w + ix;
-              const SymValue v = exec.load(in, in_idx);
-              auto mac = [&, kx] {
-                const SymValue wv = exec.load(w, w_row_base + kx);
-                acc = join(acc, v, wv);
-                exec.retire(detail::kMacInstructions +
-                            detail::kLoopOverhead);
-              };
-              if (mode == KernelMode::kDataDependent) {
-                exec.if_else(
-                    SCE_SYM_SITE(
-                        "conv2d zero-skip (elides weight load + MAC)"),
-                    v, [&] { exec.retire(detail::kLoopOverhead); }, mac);
-              } else {
-                mac();
-              }
-            }
-          }
-        }
-        exec.store(out, (oc * g.out_h + oy) * g.out_w + ox, acc);
-        exec.retire(detail::kLoopOverhead);
-        exec.structural_branches(g.in_channels * g.kernel * g.kernel +
-                                 g.in_channels * g.kernel + g.in_channels +
-                                 1);
-      }
-    }
-  }
-}
-
-void conv2d_im2col_instrumented_model(const Conv2DGeom& g,
-                                      SymbolicExecutor& exec,
-                                      KernelMode mode) {
-  const std::size_t pixels = g.out_h * g.out_w;
-  const std::size_t patch_len = g.in_channels * g.kernel * g.kernel;
-  const SymBuffer in = exec.input_buffer();
-  const SymBuffer w = exec.param_buffer("weights", g.out_channels * patch_len);
-  const SymBuffer b = exec.param_buffer("bias", g.out_channels);
-  const SymBuffer patches =
-      exec.scratch_buffer("patches", pixels * patch_len);
-  const SymBuffer out = exec.output_buffer(g.out_channels * pixels);
-
-  // Phase 1: patch gather — loads gated only by public padding bounds,
-  // stores and retire unconditional: a fixed access pattern.
-  for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-    for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-      const std::size_t row = oy * g.out_w + ox;
-      std::size_t column = 0;
-      for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
-        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-          for (std::size_t kx = 0; kx < g.kernel; ++kx, ++column) {
-            SymValue v;  // implicit zero padding: public
-            if (in_bounds(oy, g.stride, ky, g.padding, g.in_h) &&
-                in_bounds(ox, g.stride, kx, g.padding, g.in_w)) {
-              const std::size_t iy = in_index(oy, g.stride, ky, g.padding);
-              const std::size_t ix = in_index(ox, g.stride, kx, g.padding);
-              v = exec.load(in, (ic * g.in_h + iy) * g.in_w + ix);
-            }
-            exec.store(patches, row * patch_len + column, v);
-            exec.retire(detail::kLoopOverhead);
-          }
-        }
-      }
-      exec.structural_branches(patch_len + g.kernel + g.in_channels + 1);
-    }
-  }
-
-  // Phase 2: GEMM with the zero-skip branch on the (secret) patch value.
-  for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
-    for (std::size_t pixel = 0; pixel < pixels; ++pixel) {
-      SymValue acc = exec.load(b, oc);
-      for (std::size_t j = 0; j < patch_len; ++j) {
-        const SymValue v = exec.load(patches, pixel * patch_len + j);
-        auto mac = [&, j] {
-          acc = join(acc, v, exec.load(w, oc * patch_len + j));
-          exec.retire(detail::kMacInstructions + detail::kLoopOverhead);
-        };
-        if (mode == KernelMode::kDataDependent) {
-          exec.if_else(
-              SCE_SYM_SITE("conv2d im2col GEMM zero-skip"), v,
-              [&] { exec.retire(detail::kLoopOverhead); }, mac);
-        } else {
-          mac();
-        }
-      }
-      exec.store(out, oc * pixels + pixel, acc);
-      exec.structural_branches(patch_len + 1);
-    }
-  }
-}
-
-void conv2d_fast_model(const Conv2DGeom& g, SymbolicExecutor& exec) {
+void conv2d_fast_model(const Conv2DShape& g, SymbolicExecutor& exec) {
   // Transposed im2col + register-tiled GEMM (conv2d_fast.cpp): the patch
   // gather touches every in-bounds element behind public bounds tests,
   // and the GEMM's zero skip is a lane blend — branchless, full loads.
@@ -292,7 +134,7 @@ void conv2d_fast_model(const Conv2DGeom& g, SymbolicExecutor& exec) {
         // Lane blend: load, multiply, mask — no branch, every element.
         acc = join(acc, exec.load(patches, j * pixels + pixel),
                    exec.load(w, oc * patch_len + j));
-        exec.retire(detail::kMacInstructions);
+        exec.retire(kMacInstructions);
       }
       exec.store(out, oc * pixels + pixel, acc);
       exec.structural_branches(patch_len + 1);
@@ -303,25 +145,6 @@ void conv2d_fast_model(const Conv2DGeom& g, SymbolicExecutor& exec) {
 // ---------------------------------------------------------------------
 // ReLU
 // ---------------------------------------------------------------------
-
-void relu_instrumented_model(std::size_t n, SymbolicExecutor& exec,
-                             KernelMode mode) {
-  const SymBuffer in = exec.input_buffer();
-  const SymBuffer out = exec.output_buffer(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const SymValue v = exec.load(in, i);
-    if (mode == KernelMode::kDataDependent) {
-      // The sign branch guards no events — both continuations store and
-      // retire identically — so only its *outcome* can vary.
-      exec.branch(SCE_SYM_SITE("relu sign branch (v < 0)"), v);
-      exec.retire(detail::kLoopOverhead);
-    } else {
-      exec.retire(detail::kLoopOverhead + 1);
-    }
-    exec.store(out, i, v);
-  }
-  exec.structural_branches(n);
-}
 
 void relu_fast_model(std::size_t n, SymbolicExecutor& exec) {
   // Vector max against zero: branchless in both modes.
@@ -337,47 +160,7 @@ void relu_fast_model(std::size_t n, SymbolicExecutor& exec) {
 // Pooling
 // ---------------------------------------------------------------------
 
-void maxpool_instrumented_model(const Pool2DGeom& g, SymbolicExecutor& exec,
-                                KernelMode mode) {
-  const SymBuffer in = exec.input_buffer();
-  const SymBuffer out = exec.output_buffer(g.channels * g.out_h * g.out_w);
-  for (std::size_t c = 0; c < g.channels; ++c) {
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        SymValue best;
-        bool first = true;  // public: a loop-position flag
-        for (std::size_t wy = 0; wy < g.window; ++wy) {
-          for (std::size_t wx = 0; wx < g.window; ++wx) {
-            const std::size_t idx =
-                (c * g.in_h + (oy * g.window + wy)) * g.in_w +
-                (ox * g.window + wx);
-            const SymValue v = exec.load(in, idx);
-            if (first) {
-              best = v;
-              first = false;
-              exec.retire(detail::kLoopOverhead);
-              continue;
-            }
-            if (mode == KernelMode::kDataDependent) {
-              // Update branch guards only the register move: memory and
-              // counts stay fixed, the outcome tracks the argmax.
-              exec.branch(SCE_SYM_SITE("maxpool max-update branch"), v);
-              best = join(best, v);
-              exec.retire(detail::kCompareInstructions);
-            } else {
-              best = join(best, v);
-              exec.retire(detail::kCompareInstructions + 1);
-            }
-          }
-        }
-        exec.store(out, (c * g.out_h + oy) * g.out_w + ox, best);
-        exec.structural_branches(g.window * g.window + g.window + 1);
-      }
-    }
-  }
-}
-
-void maxpool_fast_model(const Pool2DGeom& g, SymbolicExecutor& exec) {
+void maxpool2d_fast_model(const Pool2DShape& g, SymbolicExecutor& exec) {
   const SymBuffer in = exec.input_buffer();
   const SymBuffer out = exec.output_buffer(g.channels * g.out_h * g.out_w);
   for (std::size_t c = 0; c < g.channels; ++c) {
@@ -397,8 +180,7 @@ void maxpool_fast_model(const Pool2DGeom& g, SymbolicExecutor& exec) {
   }
 }
 
-void avgpool_model(const Pool2DGeom& g, SymbolicExecutor& exec,
-                   bool instrumented) {
+void avgpool2d_fast_model(const Pool2DShape& g, SymbolicExecutor& exec) {
   const SymBuffer in = exec.input_buffer();
   const SymBuffer out = exec.output_buffer(g.channels * g.out_h * g.out_w);
   for (std::size_t c = 0; c < g.channels; ++c) {
@@ -411,13 +193,11 @@ void avgpool_model(const Pool2DGeom& g, SymbolicExecutor& exec,
                        exec.load(in, (c * g.in_h + (oy * g.window + wy)) *
                                              g.in_w +
                                          (ox * g.window + wx)));
-            exec.retire(detail::kLoopOverhead + 1);
+            exec.retire(kLoopOverhead + 1);
           }
         }
         exec.store(out, (c * g.out_h + oy) * g.out_w + ox, sum);
         exec.retire(1);
-        if (instrumented)
-          exec.structural_branches(g.window * g.window + g.window + 1);
       }
     }
   }
@@ -427,16 +207,14 @@ void avgpool_model(const Pool2DGeom& g, SymbolicExecutor& exec,
 // Softmax
 // ---------------------------------------------------------------------
 
-void softmax_model(std::size_t n, SymbolicExecutor& exec,
-                   bool instrumented) {
+void softmax_fast_model(std::size_t n, SymbolicExecutor& exec) {
   const SymBuffer in = exec.input_buffer();
   const SymBuffer out = exec.output_buffer(n);
   SymValue max_v = exec.value(in, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    // The running-max compare compiles to a cmov and the kernel emits no
-    // branch event for it: value flow only.
+    // The running-max compare compiles to a cmov: value flow only.
     max_v = join(max_v, exec.load(in, i));
-    exec.retire(detail::kCompareInstructions + 1);
+    exec.retire(kCompareInstructions + 1);
   }
   SymValue sum;
   for (std::size_t i = 0; i < n; ++i) {
@@ -447,74 +225,15 @@ void softmax_model(std::size_t n, SymbolicExecutor& exec,
   }
   for (std::size_t i = 0; i < n; ++i) {
     exec.store(out, i, join(exec.value(out, i), sum));
-    exec.retire(detail::kLoopOverhead + 1);
+    exec.retire(kLoopOverhead + 1);
   }
-  if (instrumented) exec.structural_branches(3 * n);
 }
 
 // ---------------------------------------------------------------------
 // Elman RNN
 // ---------------------------------------------------------------------
 
-void rnn_instrumented_model(const RnnGeom& g, SymbolicExecutor& exec,
-                            KernelMode mode) {
-  const std::size_t hidden = g.hidden_dim;
-  const SymBuffer x = exec.input_buffer();
-  const SymBuffer wx = exec.param_buffer("wx", g.input_dim * hidden);
-  const SymBuffer wh = exec.param_buffer("wh", hidden * hidden);
-  const SymBuffer b = exec.param_buffer("bias", hidden);
-  const SymBuffer h = exec.output_buffer(hidden);  // pre-zeroed h_0
-  const SymBuffer acc = exec.scratch_buffer("acc", hidden);
-
-  // One AXPY sweep with the row-skip structure shared by both phases.
-  auto axpy_sweep = [&](const SymSite& site, auto read_v, std::size_t dim,
-                        SymBuffer weights) {
-    for (std::size_t i = 0; i < dim; ++i) {
-      const SymValue v = read_v(i);
-      auto row = [&, i] {
-        for (std::size_t j = 0; j < hidden; ++j) {
-          const SymValue wv = exec.load(weights, i * hidden + j);
-          exec.store(acc, j, join(exec.value(acc, j), v, wv));
-          exec.retire(detail::kMacInstructions + detail::kLoopOverhead);
-        }
-        exec.structural_branches(hidden + 1);
-      };
-      if (mode == KernelMode::kDataDependent) {
-        exec.if_else(site, v,
-                     [&] { exec.retire(detail::kLoopOverhead); }, row);
-      } else {
-        row();
-      }
-    }
-    exec.structural_branches(dim);
-  };
-
-  for (std::size_t t = 0; t < g.t_steps; ++t) {
-    for (std::size_t j = 0; j < hidden; ++j)
-      exec.store(acc, j, exec.load(b, j));
-    exec.structural_branches(hidden);
-    axpy_sweep(
-        SCE_SYM_SITE("rnn input row-skip (x_t[i]==0)"),
-        [&](std::size_t i) { return exec.load(x, t * g.input_dim + i); },
-        g.input_dim, wx);
-    axpy_sweep(
-        SCE_SYM_SITE("rnn hidden row-skip (h[i]==0, ReLU-sparse)"),
-        [&](std::size_t i) { return exec.load(h, i); }, hidden, wh);
-    for (std::size_t j = 0; j < hidden; ++j) {
-      const SymValue v = exec.load(acc, j);
-      if (mode == KernelMode::kDataDependent) {
-        exec.branch(SCE_SYM_SITE("rnn recurrent ReLU sign branch"), v);
-        exec.retire(detail::kLoopOverhead);
-      } else {
-        exec.retire(detail::kLoopOverhead + 1);
-      }
-      exec.store(h, j, v);
-    }
-    exec.structural_branches(hidden + 1);
-  }
-}
-
-void rnn_fast_model(const RnnGeom& g, SymbolicExecutor& exec,
+void rnn_fast_model(const RnnShape& g, SymbolicExecutor& exec,
                     KernelMode mode) {
   const std::size_t hidden = g.hidden_dim;
   const SymBuffer x = exec.input_buffer();
@@ -533,7 +252,7 @@ void rnn_fast_model(const RnnGeom& g, SymbolicExecutor& exec,
         for (std::size_t j = 0; j < hidden; ++j) {
           exec.store(acc, j, join(exec.value(acc, j), v,
                                   exec.load(weights, i * hidden + j)));
-          exec.retire(detail::kMacInstructions);
+          exec.retire(kMacInstructions);
         }
         // The vectorized AXPY's source loop back-edges.
         exec.structural_branches(hidden + 1);
@@ -562,64 +281,6 @@ void rnn_fast_model(const RnnGeom& g, SymbolicExecutor& exec,
       exec.retire(1);
     }
   }
-}
-
-}  // namespace
-
-// -- public model entry points ----------------------------------------
-
-void conv2d_symbolic(const Conv2DGeom& g, ConvAlgorithm algorithm,
-                     SymbolicExecutor& exec, KernelMode mode,
-                     ExecutionPath path) {
-  if (path == ExecutionPath::kFast) {
-    conv2d_fast_model(g, exec);
-  } else if (algorithm == ConvAlgorithm::kIm2col) {
-    conv2d_im2col_instrumented_model(g, exec, mode);
-  } else {
-    conv2d_direct_instrumented_model(g, exec, mode);
-  }
-}
-
-void dense_symbolic(const DenseGeom& g, SymbolicExecutor& exec,
-                    KernelMode mode, ExecutionPath path) {
-  if (path == ExecutionPath::kFast)
-    dense_fast_model(g, exec, mode);
-  else
-    dense_instrumented_model(g, exec, mode);
-}
-
-void relu_symbolic(std::size_t n, SymbolicExecutor& exec, KernelMode mode,
-                   ExecutionPath path) {
-  if (path == ExecutionPath::kFast)
-    relu_fast_model(n, exec);
-  else
-    relu_instrumented_model(n, exec, mode);
-}
-
-void maxpool2d_symbolic(const Pool2DGeom& g, SymbolicExecutor& exec,
-                        KernelMode mode, ExecutionPath path) {
-  if (path == ExecutionPath::kFast)
-    maxpool_fast_model(g, exec);
-  else
-    maxpool_instrumented_model(g, exec, mode);
-}
-
-void avgpool2d_symbolic(const Pool2DGeom& g, SymbolicExecutor& exec,
-                        ExecutionPath path) {
-  avgpool_model(g, exec, path == ExecutionPath::kInstrumented);
-}
-
-void softmax_symbolic(std::size_t n, SymbolicExecutor& exec,
-                      ExecutionPath path) {
-  softmax_model(n, exec, path == ExecutionPath::kInstrumented);
-}
-
-void rnn_symbolic(const RnnGeom& g, SymbolicExecutor& exec, KernelMode mode,
-                  ExecutionPath path) {
-  if (path == ExecutionPath::kFast)
-    rnn_fast_model(g, exec, mode);
-  else
-    rnn_instrumented_model(g, exec, mode);
 }
 
 // -- model registry ----------------------------------------------------
@@ -667,37 +328,21 @@ std::vector<SymbolicModelEntry> all_symbolic_models() {
 namespace {
 
 const detail::SymbolicModelRegistration registration{
-    {"conv2d.direct", KernelMode::kDataDependent, ExecutionPath::kInstrumented},
     {"conv2d.direct", KernelMode::kDataDependent, ExecutionPath::kFast},
-    {"conv2d.direct", KernelMode::kConstantFlow, ExecutionPath::kInstrumented},
     {"conv2d.direct", KernelMode::kConstantFlow, ExecutionPath::kFast},
-    {"conv2d.im2col", KernelMode::kDataDependent, ExecutionPath::kInstrumented},
     {"conv2d.im2col", KernelMode::kDataDependent, ExecutionPath::kFast},
-    {"conv2d.im2col", KernelMode::kConstantFlow, ExecutionPath::kInstrumented},
     {"conv2d.im2col", KernelMode::kConstantFlow, ExecutionPath::kFast},
-    {"dense", KernelMode::kDataDependent, ExecutionPath::kInstrumented},
     {"dense", KernelMode::kDataDependent, ExecutionPath::kFast},
-    {"dense", KernelMode::kConstantFlow, ExecutionPath::kInstrumented},
     {"dense", KernelMode::kConstantFlow, ExecutionPath::kFast},
-    {"relu", KernelMode::kDataDependent, ExecutionPath::kInstrumented},
     {"relu", KernelMode::kDataDependent, ExecutionPath::kFast},
-    {"relu", KernelMode::kConstantFlow, ExecutionPath::kInstrumented},
     {"relu", KernelMode::kConstantFlow, ExecutionPath::kFast},
-    {"maxpool2d", KernelMode::kDataDependent, ExecutionPath::kInstrumented},
     {"maxpool2d", KernelMode::kDataDependent, ExecutionPath::kFast},
-    {"maxpool2d", KernelMode::kConstantFlow, ExecutionPath::kInstrumented},
     {"maxpool2d", KernelMode::kConstantFlow, ExecutionPath::kFast},
-    {"avgpool2d", KernelMode::kDataDependent, ExecutionPath::kInstrumented},
     {"avgpool2d", KernelMode::kDataDependent, ExecutionPath::kFast},
-    {"avgpool2d", KernelMode::kConstantFlow, ExecutionPath::kInstrumented},
     {"avgpool2d", KernelMode::kConstantFlow, ExecutionPath::kFast},
-    {"softmax", KernelMode::kDataDependent, ExecutionPath::kInstrumented},
     {"softmax", KernelMode::kDataDependent, ExecutionPath::kFast},
-    {"softmax", KernelMode::kConstantFlow, ExecutionPath::kInstrumented},
     {"softmax", KernelMode::kConstantFlow, ExecutionPath::kFast},
-    {"elman-rnn", KernelMode::kDataDependent, ExecutionPath::kInstrumented},
     {"elman-rnn", KernelMode::kDataDependent, ExecutionPath::kFast},
-    {"elman-rnn", KernelMode::kConstantFlow, ExecutionPath::kInstrumented},
     {"elman-rnn", KernelMode::kConstantFlow, ExecutionPath::kFast},
 };
 

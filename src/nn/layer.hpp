@@ -122,12 +122,13 @@ class Layer {
   /// Path-dispatching accessor; stamps `path` into the returned contract.
   LeakageContract leakage_contract(KernelMode mode, ExecutionPath path) const;
 
-  /// Replay this layer's (mode, path) kernel against a symbolic executor
+  /// Run this layer's (mode, path) kernel against a symbolic executor
   /// (nn/kernels/symbolic.hpp) so the analyzer can *derive* its leakage
   /// contract from the code instead of trusting the declaration above.
-  /// Every layer in this library overrides it with its kernel's symbolic
-  /// model; the base default reports the layer as unmodeled, which the
-  /// analyzer surfaces rather than guessing.
+  /// Every layer in this library overrides it: the instrumented path runs
+  /// the kernel's own symbolic instantiation, the fast path its
+  /// hand-written model.  The base default reports the layer as
+  /// unmodeled, which the analyzer surfaces rather than guessing.
   virtual void symbolic_forward(kernels::SymbolicExecutor& exec,
                                 const std::vector<std::size_t>& input_shape,
                                 KernelMode mode, ExecutionPath path) const;

@@ -130,8 +130,9 @@ void ElmanRNN::symbolic_forward(kernels::SymbolicExecutor& exec,
                                 KernelMode mode, ExecutionPath path) const {
   const auto [t_steps, d] = sequence_dims(input_shape);
   (void)d;
-  kernels::rnn_symbolic(kernels::RnnGeom{t_steps, input_dim_, hidden_dim_},
-                        exec, mode, path);
+  kernels::rnn_symbolic(
+      {.t_steps = t_steps, .input_dim = input_dim_, .hidden_dim = hidden_dim_},
+      exec, mode, path);
 }
 
 Tensor ElmanRNN::train_forward(const Tensor& input) {

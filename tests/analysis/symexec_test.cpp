@@ -59,20 +59,23 @@ std::vector<ZooEntry> zoo() {
 }
 
 // ---------------------------------------------------------------------
-// Registry completeness: a kernel cell without a symbolic model is a
-// hole in the static story, and must be a test failure, not a silent
-// fallback to trusting the declaration.
+// Registry completeness: a fast kernel cell without a hand-written
+// symbolic model is a hole in the static story, and must be a test
+// failure, not a silent fallback to trusting the declaration.
+// Instrumented cells need no entry — each kernel is its own model.
 
 TEST(SymbolicRegistry, CoversEveryRegisteredKernelCell) {
-  const auto kernels = nn::kernels::all_kernels();
-  ASSERT_FALSE(kernels.empty());
-  for (const nn::kernels::KernelEntry& e : kernels) {
+  std::size_t fast_cells = 0;
+  for (const nn::kernels::KernelEntry& e : nn::kernels::all_kernels()) {
+    if (e.path != ExecutionPath::kFast) continue;
+    ++fast_cells;
     EXPECT_TRUE(nn::kernels::has_symbolic_model(e.op, e.mode, e.path))
         << e.op << " (" << nn::to_string(e.mode) << ", "
         << nn::to_string(e.path) << ") has no symbolic model";
   }
-  // And nothing phantom: the model registry is exactly the kernel grid.
-  EXPECT_EQ(nn::kernels::all_symbolic_models().size(), kernels.size());
+  ASSERT_GT(fast_cells, 0u);
+  // And nothing phantom: the model registry is exactly the fast grid.
+  EXPECT_EQ(nn::kernels::all_symbolic_models().size(), fast_cells);
 }
 
 TEST(SymbolicRegistry, UnknownCellsAreAbsent) {
@@ -199,6 +202,41 @@ TEST(SymbolicEdgeCases, PaddingOnlyConvRows) {
 TEST(SymbolicEdgeCases, OneByOneKernelConv) {
   const nn::Conv2D conv(2, 3, 1);
   expect_all_cells_match(conv, {2, 4, 4}, "conv2d 1x1 kernel");
+}
+
+TEST(SymbolicEdgeCases, Im2colConvDerivesFromItsOwnKernel) {
+  // The zoo convolutions are all direct, so without this the im2col
+  // kernel's derived contract would be checked nowhere: it must match
+  // the declaration in every cell and the oracle in both modes.
+  nn::Conv2D conv(2, 3, 3, /*stride=*/1, /*padding=*/1);
+  conv.set_algorithm(nn::ConvAlgorithm::kIm2col);
+  util::Rng rng(11);
+  conv.initialize(rng);
+  const std::vector<std::size_t> shape = {2, 6, 6};
+  expect_all_cells_match(conv, shape, "conv2d im2col");
+
+  for (KernelMode mode : kModes) {
+    const DerivedContract derived = derive_layer_contract(
+        conv, shape, mode, ExecutionPath::kInstrumented);
+    ASSERT_TRUE(derived.modeled);
+    const TraceVariance observed =
+        probe_layer(conv, default_probes(shape), mode);
+    EXPECT_EQ(derived.contract.branch_outcomes_vary, observed.branch_outcomes)
+        << nn::to_string(mode);
+    EXPECT_EQ(derived.contract.branch_count_varies, observed.branch_count)
+        << nn::to_string(mode);
+    EXPECT_EQ(derived.contract.address_stream_varies, observed.address_stream)
+        << nn::to_string(mode);
+    EXPECT_EQ(derived.contract.instruction_count_varies,
+              observed.instruction_count)
+        << nn::to_string(mode);
+  }
+  // The GEMM's zero skip is what leaks; the patch gather does not.
+  const DerivedContract derived = derive_layer_contract(
+      conv, shape, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
+  ASSERT_FALSE(derived.witnesses.empty());
+  for (const Witness& w : derived.witnesses)
+    EXPECT_EQ(w.label, "conv2d im2col GEMM zero-skip") << w.aspect;
 }
 
 TEST(SymbolicEdgeCases, SingleUnitDense) {
@@ -508,7 +546,7 @@ TEST(SymbolicWitnesses, DenseWitnessesNameModelSites) {
     EXPECT_GT(w.line, 0) << w.aspect;
     EXPECT_FALSE(w.label.empty()) << w.aspect;
     EXPECT_FALSE(w.detail.empty()) << w.aspect;
-    EXPECT_NE(w.file.find("symbolic_models.cpp"), std::string::npos)
+    EXPECT_NE(w.file.find("dense_instrumented.cpp"), std::string::npos)
         << w.file;
   }
   for (const char* aspect : {"branch-outcomes", "branch-count",

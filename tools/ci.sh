@@ -130,14 +130,16 @@ echo "==> bench: fast-vs-scalar inference speedups"
 if [ "${SCE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   echo "==> SCE_CI_SKIP_SANITIZERS=1: skipping sanitized passes"
 else
-  echo "==> fast-vs-instrumented bit-identity under address;undefined"
-  # The KernelPath suite asserts the SIMD fast kernels are bit-for-bit
-  # identical to the instrumented scalar loops (every zoo model, both
-  # kernel modes, edge shapes, plan buffer reuse).  Running it under
-  # ASan/UBSan first gives the refactor-critical gate its own named
-  # stage; the full sanitized suite below reuses the same build tree.
+  echo "==> kernel refactor gates under address;undefined"
+  # The refactor-critical gates get their own named stage: KernelPath
+  # asserts the SIMD fast kernels are bit-for-bit identical to the
+  # instrumented scalar loops (every zoo model, both kernel modes, edge
+  # shapes, plan buffer reuse); KernelTrace pins the instrumented event
+  # streams; Symbolic and ContractOracle run the kernels' symbolic
+  # instantiation, which indexes engine buffers with kernel-computed
+  # indices.  The full sanitized suite below reuses the same build tree.
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
-    "${BUILD_DIR}-sanitize" 'KernelPath'
+    "${BUILD_DIR}-sanitize" 'KernelPath|KernelTrace|Symbolic|ContractOracle'
 
   echo "==> running tier-1 suite under address;undefined"
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
