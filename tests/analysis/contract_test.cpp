@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "analysis/events.hpp"
 #include "analysis/oracle.hpp"
@@ -163,6 +164,123 @@ TEST(ContractOracle, ElmanRNN) {
       rnn.leakage_contract(KernelMode::kDataDependent).shape_scales_trace);
   EXPECT_TRUE(
       rnn.leakage_contract(KernelMode::kConstantFlow).shape_scales_trace);
+}
+
+// The reference table of every library layer's contract, per (mode,
+// path).  Each row is a literal expectation, so a kernel change that
+// moves any claim has to edit this table in the same commit.
+nn::LeakageContract fixture_contract(const nn::Layer& layer,
+                                     const std::vector<std::size_t>& shape,
+                                     KernelMode mode, nn::ExecutionPath path) {
+  (void)shape;
+  return layer.leakage_contract(mode, path);
+}
+
+std::unique_ptr<nn::Layer> make_fixture_layer(const std::string& name) {
+  if (name == "ReLU") return std::make_unique<nn::ReLU>();
+  if (name == "MaxPool2D") return std::make_unique<nn::MaxPool2D>(2);
+  if (name == "AvgPool2D") return std::make_unique<nn::AvgPool2D>(2);
+  if (name == "Flatten") return std::make_unique<nn::Flatten>();
+  if (name == "Softmax") return std::make_unique<nn::Softmax>();
+  if (name == "Dropout") return std::make_unique<nn::Dropout>(0.5f);
+  if (name == "Conv2D/direct") return std::make_unique<nn::Conv2D>(2, 3, 3);
+  if (name == "Conv2D/im2col") {
+    auto conv = std::make_unique<nn::Conv2D>(2, 3, 3);
+    conv->set_algorithm(nn::ConvAlgorithm::kIm2col);
+    return conv;
+  }
+  if (name == "Dense") return std::make_unique<nn::Dense>(12, 5);
+  if (name == "ElmanRNN") return std::make_unique<nn::ElmanRNN>(6, 4);
+  return nullptr;
+}
+
+std::vector<std::size_t> fixture_shape(const std::string& name) {
+  if (name == "Flatten") return {2, 3, 4};
+  if (name == "Softmax") return {10};
+  if (name == "Dropout") return {4, 6};
+  if (name == "Dense") return {12};
+  if (name == "ElmanRNN") return {1, 5, 6};
+  if (name == "ReLU") return {3, 5, 5};
+  return {2, 6, 6};  // pools and convolutions
+}
+
+TEST(ContractFixtures, LibraryLayersArePinned) {
+  constexpr KernelMode DD = KernelMode::kDataDependent;
+  constexpr KernelMode CF = KernelMode::kConstantFlow;
+  constexpr nn::ExecutionPath INS = nn::ExecutionPath::kInstrumented;
+  constexpr nn::ExecutionPath FST = nn::ExecutionPath::kFast;
+  constexpr nn::TaintTransfer P = nn::TaintTransfer::kPropagate;
+  struct Row {
+    const char* layer;
+    KernelMode mode;
+    nn::ExecutionPath path;
+    bool outcomes, count, addresses, instructions, rng;
+    nn::TaintTransfer taint;
+    bool shape_scaled;
+  };
+  // clang-format off
+  const Row rows[] = {
+      // layer            mode path  outc   count  addr   instr  rng    taint shape
+      {"ReLU",           DD, INS, true,  false, false, false, false, P, false},
+      {"ReLU",           DD, FST, false, false, false, false, false, P, false},
+      {"ReLU",           CF, INS, false, false, false, false, false, P, false},
+      {"ReLU",           CF, FST, false, false, false, false, false, P, false},
+      {"MaxPool2D",      DD, INS, true,  false, false, false, false, P, false},
+      {"MaxPool2D",      DD, FST, false, false, false, false, false, P, false},
+      {"MaxPool2D",      CF, INS, false, false, false, false, false, P, false},
+      {"MaxPool2D",      CF, FST, false, false, false, false, false, P, false},
+      {"AvgPool2D",      DD, INS, false, false, false, false, false, P, false},
+      {"AvgPool2D",      DD, FST, false, false, false, false, false, P, false},
+      {"AvgPool2D",      CF, INS, false, false, false, false, false, P, false},
+      {"AvgPool2D",      CF, FST, false, false, false, false, false, P, false},
+      {"Flatten",        DD, INS, false, false, false, false, false, P, false},
+      {"Flatten",        DD, FST, false, false, false, false, false, P, false},
+      {"Flatten",        CF, INS, false, false, false, false, false, P, false},
+      {"Flatten",        CF, FST, false, false, false, false, false, P, false},
+      {"Softmax",        DD, INS, false, false, false, false, false, P, false},
+      {"Softmax",        DD, FST, false, false, false, false, false, P, false},
+      {"Softmax",        CF, INS, false, false, false, false, false, P, false},
+      {"Softmax",        CF, FST, false, false, false, false, false, P, false},
+      {"Dropout",        DD, INS, false, false, false, false, false, P, false},
+      {"Dropout",        DD, FST, false, false, false, false, false, P, false},
+      {"Dropout",        CF, INS, false, false, false, false, false, P, false},
+      {"Dropout",        CF, FST, false, false, false, false, false, P, false},
+      {"Conv2D/direct",  DD, INS, true,  false, true,  true,  false, P, false},
+      {"Conv2D/direct",  DD, FST, false, false, false, false, false, P, false},
+      {"Conv2D/direct",  CF, INS, false, false, false, false, false, P, false},
+      {"Conv2D/direct",  CF, FST, false, false, false, false, false, P, false},
+      {"Conv2D/im2col",  DD, INS, true,  false, true,  true,  false, P, false},
+      {"Conv2D/im2col",  DD, FST, false, false, false, false, false, P, false},
+      {"Conv2D/im2col",  CF, INS, false, false, false, false, false, P, false},
+      {"Conv2D/im2col",  CF, FST, false, false, false, false, false, P, false},
+      {"Dense",          DD, INS, true,  true,  true,  true,  false, P, false},
+      {"Dense",          DD, FST, true,  true,  true,  true,  false, P, false},
+      {"Dense",          CF, INS, false, false, false, false, false, P, false},
+      {"Dense",          CF, FST, false, false, false, false, false, P, false},
+      {"ElmanRNN",       DD, INS, true,  true,  true,  true,  false, P, true},
+      {"ElmanRNN",       DD, FST, true,  true,  true,  true,  false, P, true},
+      {"ElmanRNN",       CF, INS, false, false, false, false, false, P, true},
+      {"ElmanRNN",       CF, FST, false, false, false, false, false, P, true},
+  };
+  // clang-format on
+  for (const Row& row : rows) {
+    const std::unique_ptr<nn::Layer> layer = make_fixture_layer(row.layer);
+    ASSERT_NE(layer, nullptr) << row.layer;
+    const LeakageContract c = fixture_contract(
+        *layer, fixture_shape(row.layer), row.mode, row.path);
+    const std::string where = std::string(row.layer) + " " +
+                              to_string(row.mode) + " " +
+                              nn::to_string(row.path);
+    EXPECT_TRUE(c.declared) << where;
+    EXPECT_EQ(c.path, row.path) << where;
+    EXPECT_EQ(c.branch_outcomes_vary, row.outcomes) << where;
+    EXPECT_EQ(c.branch_count_varies, row.count) << where;
+    EXPECT_EQ(c.address_stream_varies, row.addresses) << where;
+    EXPECT_EQ(c.instruction_count_varies, row.instructions) << where;
+    EXPECT_EQ(c.consumes_rng, row.rng) << where;
+    EXPECT_EQ(c.taint, row.taint) << where;
+    EXPECT_EQ(c.shape_scales_trace, row.shape_scaled) << where;
+  }
 }
 
 TEST(ContractOracle, HonestLeakyLayerPasses) {
