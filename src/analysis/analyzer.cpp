@@ -23,7 +23,7 @@ namespace {
 std::string describe(const LayerFinding& finding) {
   const nn::LeakageContract& c = finding.contract;
   if (!c.declared)
-    return "no leakage contract declared; assuming worst case "
+    return "no symbolic kernel model; assuming worst case "
            "(input-dependent control flow and addressing)";
   if (!finding.exploitable && finding.kernel_verdict != Verdict::kConstantFlow)
     return "kernel leaks, but its input is not secret-tainted "
@@ -72,45 +72,22 @@ AnalysisReport PlanAnalyzer::analyze(const nn::Sequential& model,
     finding.input_shape = shape;
     shape = layer.output_shape(shape);  // throws on a mis-chained model
     finding.output_shape = shape;
-    finding.contract = layer.leakage_contract(mode, path);
     finding.input_taint = taint;
 
-    // Derive the contract from the layer's symbolic kernel model.  When
-    // one exists, the *derived* claims drive the verdict — the gate runs
-    // on what the code does, with the declaration only cross-checked.
-    const symexec::LayerVerification verification =
+    // The contract is what the kernel code does, derived from its
+    // symbolic model; a layer without one is assumed worst-case.
+    symexec::LayerVerification verification =
         symexec::verify_layer(layer, finding.input_shape, mode, path);
-    nn::LeakageContract effective = finding.contract;
-    if (verification.checked) {
-      finding.derived_available = true;
-      finding.derived = verification.derived.contract;
-      finding.derived.symbolically_verified =
-          verification.symbolically_verified;
-      finding.witnesses = verification.derived.witnesses;
-      finding.derived_matches = verification.matches_declared;
-      finding.contract.symbolically_verified =
-          verification.symbolically_verified;
+    finding.contract = verification.derived.contract;
+    finding.witnesses = std::move(verification.derived.witnesses);
+    const nn::LeakageContract& c = finding.contract;
 
-      effective.branch_outcomes_vary = finding.derived.branch_outcomes_vary;
-      effective.branch_count_varies = finding.derived.branch_count_varies;
-      effective.address_stream_varies = finding.derived.address_stream_varies;
-      effective.instruction_count_varies =
-          finding.derived.instruction_count_varies;
-      effective.consumes_rng = finding.derived.consumes_rng;
-      effective.taint = finding.derived.taint;
-      effective.declared = true;  // the code itself is the declaration
-      effective.symbolically_verified =
-          verification.symbolically_verified;
-    } else {
-      ++report.underived_layers;
-    }
-
-    finding.kernel_verdict = verdict_for(effective);
+    finding.kernel_verdict = verdict_for(c);
     finding.exploitable = finding.kernel_verdict != Verdict::kConstantFlow &&
                           taint == Taint::kSecret;
 
     if (finding.exploitable) {
-      finding.predicted = predicted_events(effective);
+      finding.predicted = predicted_events(c);
       report.verdict = join(report.verdict, finding.kernel_verdict);
       report.predicted |= finding.predicted;
       ++report.exploitable_layers;
@@ -118,36 +95,27 @@ AnalysisReport PlanAnalyzer::analyze(const nn::Sequential& model,
                              ? options_.address_severity
                              : options_.control_flow_severity;
     }
-    if (!effective.declared) {
+    if (!c.declared) {
       ++report.undeclared_layers;
       if (finding.severity < options_.undeclared_severity)
         finding.severity = options_.undeclared_severity;
     }
-    if (effective.consumes_rng) ++report.rng_layers;
+    if (c.consumes_rng) ++report.rng_layers;
     finding.detail = describe(finding);
-    if (finding.derived_available && !finding.derived_matches) {
-      finding.mismatch_detail = verification.detail;
-      ++report.mismatched_contracts;
-      finding.severity = Severity::kError;
-      finding.detail += "; contract mismatch — " + finding.mismatch_detail;
-    }
-    if (finding.contract.symbolically_verified)
-      ++report.symbolically_verified_layers;
-    if (!finding.contract.verified()) {
+    if (c.symbolically_verified) ++report.symbolically_verified_layers;
+    if (!c.verified()) {
       ++report.unverified_layers;
       finding.detail +=
-          verification.checked
+          verification.derived.modeled
               ? "; fast-path claim could not be anchored to the "
                 "instrumented contract — " +
-                    (verification.detail.empty() ? "refinement chain broken"
-                                                 : verification.detail)
-              : "; fast-path claim: describes the generated code, not a "
-                "trace — the oracle cannot falsify it, and no symbolic "
-                "model exists to verify it";
+                    verification.detail
+              : "; fast-path claim: no symbolic model exists to derive or "
+                "verify it, and the oracle cannot observe the fast path";
     }
 
+    taint = propagate(taint, finding.contract);
     report.findings.push_back(std::move(finding));
-    taint = propagate(taint, effective);
   }
   return report;
 }

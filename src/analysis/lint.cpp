@@ -24,24 +24,13 @@ LintReport lint(const nn::Sequential& model,
            " reaches fail-on threshold " + to_string(*options.fail_on));
     else
       fail(std::to_string(report.analysis.undeclared_layers) +
-           " undeclared contract(s)");
+           " layer(s) without a symbolic model");
   } else if (options.fail_on_undeclared &&
              report.analysis.undeclared_layers > 0) {
     fail(std::to_string(report.analysis.undeclared_layers) +
-         " undeclared contract(s)");
+         " layer(s) without a symbolic model");
   }
 
-  if (options.fail_on_mismatch && report.analysis.mismatched_contracts > 0) {
-    for (const LayerFinding& finding : report.analysis.findings) {
-      if (finding.derived_available && !finding.derived_matches) {
-        fail(std::to_string(report.analysis.mismatched_contracts) +
-             " derived-vs-declared contract mismatch(es); first: #" +
-             std::to_string(finding.index) + " " + finding.layer_name + ": " +
-             finding.mismatch_detail);
-        break;
-      }
-    }
-  }
   if (options.fail_on_unverified && report.analysis.unverified_layers > 0) {
     fail(std::to_string(report.analysis.unverified_layers) +
          " contract(s) neither oracle-verifiable nor symbolically verified");
@@ -49,16 +38,15 @@ LintReport lint(const nn::Sequential& model,
 
   if (options.cross_check) {
     // The oracle replays instrumented kernels regardless of the linted
-    // path: on the fast path it validates the instrumented *anchor*
-    // contracts, which the symbolic refinement chain ties to the fast
-    // claims — together they cover what the oracle alone cannot see.
-    report.mismatches = cross_check_model(model, input_shape, options.mode,
-                                          /*report_undeclared=*/false);
+    // path: on the fast path it validates the instrumented contracts,
+    // which the symbolic refinement link ties to the fast claims —
+    // together they cover what the oracle alone cannot see.
+    report.mismatches = cross_check_model(model, input_shape, options.mode);
     report.cross_checked = true;
     if (!report.mismatches.empty())
       fail("trace oracle disagrees with " +
            std::to_string(report.mismatches.size()) +
-           " declared contract(s); first: #" +
+           " derived contract(s); first: #" +
            std::to_string(report.mismatches.front().layer_index) + " " +
            report.mismatches.front().layer_name + ": " +
            report.mismatches.front().detail);

@@ -2,7 +2,7 @@
 //
 // Everything the `leakage_lint` CLI used to wire together by hand —
 // analyze, gate on a verdict threshold, optionally cross-validate the
-// declared contracts against the µarch trace oracle — in one call, so
+// derived contracts against the µarch trace oracle — in one call, so
 // the evaluation service can run the identical admission gate in
 // process and reject a submission with the same findings the CLI would
 // print.  The CLI is a thin rendering wrapper around this function.
@@ -21,23 +21,20 @@ struct LintOptions {
   nn::KernelMode mode = nn::KernelMode::kDataDependent;
   /// Execution path whose contracts to lint.  On the fast path the
   /// dynamic oracle observes nothing directly; cross_check instead runs
-  /// the oracle against the *instrumented* anchor contracts, which the
-  /// symbolic verifier's refinement chain ties to the fast claims.
+  /// the oracle against the *instrumented* contracts, which the symbolic
+  /// verifier's refinement link ties to the fast claims.
   nn::ExecutionPath path = nn::ExecutionPath::kInstrumented;
   /// Name stamped into the report (and into failure messages).
   std::string model_name = "model";
   /// Gate: fail when the model verdict reaches this level (nullopt = no
   /// verdict gate).
   std::optional<Verdict> fail_on;
-  /// Gate: fail when any layer lacks a leakage contract.
+  /// Gate: fail when any layer has no symbolic model (its contract is
+  /// the assumed worst case).
   bool fail_on_undeclared = false;
-  /// Dynamically validate every declared contract against the trace
-  /// oracle; any static-vs-dynamic disagreement fails the lint.
+  /// Dynamically validate every derived instrumented contract against
+  /// the trace oracle; any static-vs-dynamic disagreement fails the lint.
   bool cross_check = false;
-  /// Gate: fail when any layer's symbolically derived contract disagrees
-  /// with its declaration (a lying or stale declaration).  On by default
-  /// — this is the static half of the verification story.
-  bool fail_on_mismatch = true;
   /// Gate: fail when any analyzed contract is neither oracle-verifiable
   /// nor symbolically verified (custom layers with no symbolic model, on
   /// the fast path).  CI turns this on to keep the zoo fully verified.

@@ -61,19 +61,12 @@ std::string render_text(const AnalysisReport& report) {
            " exploitable layer" +
            (report.exploitable_layers == 1 ? "" : "s") + ")";
   if (report.undeclared_layers > 0)
-    out += ", " + std::to_string(report.undeclared_layers) +
-           " undeclared contract" + (report.undeclared_layers == 1 ? "" : "s");
+    out += ", " + std::to_string(report.undeclared_layers) + " layer" +
+           (report.undeclared_layers == 1 ? "" : "s") +
+           " without a symbolic model";
   if (report.rng_layers > 0)
     out += ", " + std::to_string(report.rng_layers) + " rng consumer" +
            (report.rng_layers == 1 ? "" : "s");
-  if (report.mismatched_contracts > 0)
-    out += ", " + std::to_string(report.mismatched_contracts) +
-           " derived-vs-declared mismatch" +
-           (report.mismatched_contracts == 1 ? "" : "es");
-  if (report.underived_layers > 0)
-    out += ", " + std::to_string(report.underived_layers) +
-           " layer" + (report.underived_layers == 1 ? "" : "s") +
-           " without a symbolic model";
   if (report.symbolically_verified_layers > 0)
     out += ", " + std::to_string(report.symbolically_verified_layers) +
            " symbolically verified contract" +
@@ -93,7 +86,7 @@ std::string render_json(const AnalysisReport& report) {
   util::JsonWriter json;
   json.begin_object();
   // Bump schema_version on any structural change to this document.
-  json.key("schema_version").value(static_cast<std::uint64_t>(2));
+  json.key("schema_version").value(static_cast<std::uint64_t>(3));
   json.key("analyzer_version").value(analyzer_version());
   json.key("model").value(report.model_name);
   json.key("mode").value(nn::to_string(report.mode));
@@ -108,10 +101,6 @@ std::string render_json(const AnalysisReport& report) {
   json.key("rng_layers").value(static_cast<std::uint64_t>(report.rng_layers));
   json.key("unverified_layers")
       .value(static_cast<std::uint64_t>(report.unverified_layers));
-  json.key("mismatched_contracts")
-      .value(static_cast<std::uint64_t>(report.mismatched_contracts));
-  json.key("underived_layers")
-      .value(static_cast<std::uint64_t>(report.underived_layers));
   json.key("symbolically_verified_layers")
       .value(static_cast<std::uint64_t>(report.symbolically_verified_layers));
   json.key("findings").begin_array();
@@ -140,33 +129,17 @@ std::string render_json(const AnalysisReport& report) {
     json.key("symbolically_verified")
         .value(f.contract.symbolically_verified);
     json.end_object();
-    json.key("derived_available").value(f.derived_available);
-    if (f.derived_available) {
-      json.key("derived").begin_object();
-      json.key("branch_outcomes_vary").value(f.derived.branch_outcomes_vary);
-      json.key("branch_count_varies").value(f.derived.branch_count_varies);
-      json.key("address_stream_varies")
-          .value(f.derived.address_stream_varies);
-      json.key("instruction_count_varies")
-          .value(f.derived.instruction_count_varies);
-      json.key("consumes_rng").value(f.derived.consumes_rng);
-      json.key("taint_transfer").value(nn::to_string(f.derived.taint));
+    json.key("witnesses").begin_array();
+    for (const symexec::Witness& w : f.witnesses) {
+      json.begin_object();
+      json.key("aspect").value(w.aspect);
+      json.key("file").value(w.file);
+      json.key("line").value(static_cast<std::int64_t>(w.line));
+      json.key("label").value(w.label);
+      json.key("detail").value(w.detail);
       json.end_object();
-      json.key("derived_matches_declared").value(f.derived_matches);
-      if (!f.derived_matches)
-        json.key("mismatch_detail").value(f.mismatch_detail);
-      json.key("witnesses").begin_array();
-      for (const symexec::Witness& w : f.witnesses) {
-        json.begin_object();
-        json.key("aspect").value(w.aspect);
-        json.key("file").value(w.file);
-        json.key("line").value(static_cast<std::int64_t>(w.line));
-        json.key("label").value(w.label);
-        json.key("detail").value(w.detail);
-        json.end_object();
-      }
-      json.end_array();
     }
+    json.end_array();
     append_events(json, "predicted_events", f.predicted);
     json.key("detail").value(f.detail);
     json.end_object();

@@ -81,20 +81,17 @@ struct Rule {
 };
 
 constexpr Rule kRules[] = {
-    {"contract-mismatch",
-     "A layer's symbolically derived leakage contract disagrees with its "
-     "declaration"},
     {"exploitable-leak",
      "A kernel's trace varies with secret-tainted input (derived from the "
      "kernel code)"},
     {"undeclared-contract",
-     "A layer declares no leakage contract and has no symbolic model; the "
-     "analyzer assumes the worst case"},
+     "A layer has no symbolic kernel model, so no contract can be derived; "
+     "the analyzer assumes the worst case"},
     {"unverified-contract",
      "A fast-path contract is neither oracle-verifiable nor symbolically "
      "verified"},
     {"oracle-mismatch",
-     "The dynamic trace oracle observed behaviour the declared contract "
+     "The dynamic trace oracle observed behaviour the derived contract "
      "does not predict"},
 };
 
@@ -139,12 +136,6 @@ std::string render_sarif(const LintReport& report) {
   for (const LayerFinding& f : analysis.findings) {
     const std::string where =
         "layer #" + std::to_string(f.index) + " (" + f.layer_name + "): ";
-    if (f.derived_available && !f.derived_matches) {
-      append_result(json, "contract-mismatch", "error",
-                    where + "declared contract disagrees with the code — " +
-                        f.mismatch_detail,
-                    &f, first_witness(f, "branch-outcomes"));
-    }
     if (f.exploitable) {
       append_result(
           json, "exploitable-leak", severity_level(f.severity),
@@ -153,10 +144,10 @@ std::string render_sarif(const LintReport& report) {
                                ? "address-stream"
                                : "branch-outcomes"));
     }
-    if (!f.contract.declared && !f.derived_available) {
+    if (!f.contract.declared) {
       append_result(json, "undeclared-contract", "error",
-                    where + "no leakage contract declared and no symbolic "
-                            "model to derive one",
+                    where + "no symbolic kernel model to derive a contract "
+                            "from",
                     &f, nullptr);
     }
     if (!f.contract.verified()) {

@@ -165,6 +165,8 @@ SymValue SymbolicEngine::rng_draw(const SymSite& site) {
   return SymValue{SymTaint::kPublic};
 }
 
+void SymbolicEngine::scales_with_shape() { shape_scaled_ = true; }
+
 void SymbolicEngine::unmodeled(const char* why) {
   if (!unmodeled_) unmodeled_reason_ = why;
   unmodeled_ = true;
@@ -183,14 +185,19 @@ DerivedContract SymbolicEngine::finish(nn::ExecutionPath path) const {
   DerivedContract derived;
   derived.modeled = !unmodeled_;
   derived.unmodeled_reason = unmodeled_reason_;
-  derived.witnesses = witnesses_;
-
   nn::LeakageContract& c = derived.contract;
+  if (unmodeled_) {
+    c = nn::LeakageContract::undeclared();
+    c.path = path;
+    return derived;
+  }
+  derived.witnesses = witnesses_;
   c.branch_outcomes_vary = branch_outcomes_;
   c.branch_count_varies = branch_count_;
   c.address_stream_varies = address_stream_;
   c.instruction_count_varies = instruction_count_;
   c.consumes_rng = rng_;
+  c.shape_scales_trace = shape_scaled_;
   c.path = path;
   c.taint = nn::TaintTransfer::kSanitize;
   if (output_id_ != SIZE_MAX) {
@@ -200,8 +207,6 @@ DerivedContract SymbolicEngine::finish(nn::ExecutionPath path) const {
         break;
       }
     }
-  } else if (!derived.modeled) {
-    c.taint = nn::TaintTransfer::kPropagate;  // worst case
   }
   return derived;
 }

@@ -17,8 +17,8 @@
 // are weak updates joined with the guard taint (classic implicit-flow
 // handling), so derived flags over-approximate any single concrete run.
 // Precision: against this repo's kernels the derivation is exact — the
-// cross-validation test requires derived == declared == oracle-observed
-// for every zoo cell.
+// tests require derived == oracle-observed for every zoo cell, and
+// derived == the pinned fixture table for every library layer.
 #pragma once
 
 #include <cstddef>
@@ -55,9 +55,9 @@ struct DerivedContract {
   bool modeled = false;
   std::string unmodeled_reason;
   /// The contract the *code* makes: variance flags from arm diffing,
-  /// consumes_rng from rng_draw, taint from the output buffer's final
-  /// secrecy.  shape_scales_trace is never derived (it is informational
-  /// and shape-level, outside this fixed-shape domain).
+  /// consumes_rng from rng_draw, shape_scales_trace from
+  /// scales_with_shape, taint from the output buffer's final secrecy.
+  /// An unmodeled layer gets LeakageContract::undeclared().
   nn::LeakageContract contract;
   /// First witness per derived aspect, in discovery order.
   std::vector<Witness> witnesses;
@@ -94,6 +94,7 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
                const std::function<void()>& else_arm) override;
 
   nn::kernels::SymValue rng_draw(const nn::kernels::SymSite& site) override;
+  void scales_with_shape() override;
   void unmodeled(const char* why) override;
 
   /// Fold the accumulated facts into a DerivedContract stamped with
@@ -135,6 +136,7 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
   bool address_stream_ = false;
   bool instruction_count_ = false;
   bool rng_ = false;
+  bool shape_scaled_ = false;
   bool unmodeled_ = false;
   std::string unmodeled_reason_;
   std::vector<Witness> witnesses_;

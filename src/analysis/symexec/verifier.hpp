@@ -1,20 +1,16 @@
-// Derived-vs-declared contract verification.
+// Contract verification for the fast path.
 //
-// The engine (engine.hpp) tells us what a kernel's *code* claims; the
-// layer tells us what its author declared.  This module compares the
-// two and — for the fast path, which the dynamic trace oracle cannot
-// observe — establishes the refinement chain that substitutes for a
-// trace:
+// The engine (engine.hpp) derives what a kernel's *code* claims; that
+// derived contract is the layer's contract.  On the instrumented path
+// the dynamic trace oracle can falsify it.  The fast path emits no
+// trace, so this module substitutes one refinement link for the trace:
 //
-//   derived(fast) == declared(fast)            (the fast claim is honest)
-//   derived(fast) refines derived(instrumented)  (fast leaks no more)
-//   derived(instrumented) == declared(instrumented)
-//                                (and THAT claim is oracle-validated)
+//   derived(fast) refines derived(instrumented)   (fast leaks no more)
 //
-// A fast contract passing all three is "symbolically verified": every
-// link is either checked statically here or falsifiable dynamically by
-// the oracle, which closes the oracle-unverified gap that
-// `leakage_lint --path fast` used to report.
+// and derived(instrumented) is the contract the oracle validates.  A fast
+// contract for which the link holds is "symbolically verified", which
+// closes the oracle-unverified gap `leakage_lint --path fast` would
+// otherwise report.
 #pragma once
 
 #include <string>
@@ -33,41 +29,27 @@ const std::string& analyzer_version();
 
 namespace symexec {
 
-/// Equality over the falsifiable claims of a contract: the four
-/// variance flags, RNG consumption, and taint transfer.  Excludes
-/// shape_scales_trace (informational, underivable at fixed shape) and
-/// the declared/path/verification metadata.
-bool claims_equal(const nn::LeakageContract& a, const nn::LeakageContract& b);
-
 /// True when `a` leaks no aspect that `b` does not also leak (a's
 /// variance + RNG flags are pointwise <= b's).
 bool refines(const nn::LeakageContract& a, const nn::LeakageContract& b);
 
-/// Human-readable list of claim disagreements, e.g.
-/// "declared branch_count_varies=false but the code derives true";
-/// empty when claims_equal.
-std::string claims_diff(const nn::LeakageContract& declared,
-                        const nn::LeakageContract& derived);
-
 /// One layer's verification result for one (mode, path).
 struct LayerVerification {
-  /// What the code says, for the requested (mode, path).
+  /// What the code says, for the requested (mode, path).  When
+  /// `derived.modeled` is false the layer has no symbolic model and the
+  /// contract is LeakageContract::undeclared().  On the fast path,
+  /// `derived.contract.symbolically_verified` is set when the fast
+  /// contract refines the derived instrumented one, so it is trustworthy
+  /// without a trace; it stays false on the instrumented path, where the
+  /// oracle itself is the authority.
   DerivedContract derived;
-  /// True when a symbolic model existed and derivation ran.  False means
-  /// nothing below is meaningful (an un-modeled custom layer).
-  bool checked = false;
-  /// claims_equal(derived, declared) for the requested (mode, path).
-  bool matches_declared = false;
-  /// Fast path only: the full refinement chain above holds, so the
-  /// contract is trustworthy without a trace.  Always false on the
-  /// instrumented path (where the oracle itself is the authority).
-  bool symbolically_verified = false;
-  /// Which link failed, when one did ("" otherwise).
+  /// Why the layer is unmodeled or the fast contract is unanchored, when
+  /// it is ("" otherwise).
   std::string detail;
 };
 
-/// Verify one layer: derive its contract, compare against the declared
-/// one, and (fast path) establish the refinement chain.
+/// Verify one layer: derive its contract and, on the fast path, check
+/// that it refines the derived instrumented contract.
 LayerVerification verify_layer(const nn::Layer& layer,
                                const std::vector<std::size_t>& input_shape,
                                nn::KernelMode mode, nn::ExecutionPath path);

@@ -19,17 +19,6 @@ void ReLU::forward_into(const Tensor& input, Tensor& output,
     kernels::relu_instrumented(input.data(), output.data(), n, sink, mode);
 }
 
-LeakageContract ReLU::leakage_contract(KernelMode mode) const {
-  LeakageContract c;
-  if (mode == KernelMode::kDataDependent) c.branch_outcomes_vary = true;
-  return c;
-}
-
-LeakageContract ReLU::fast_leakage_contract(KernelMode /*mode*/) const {
-  // Vector compare + blend: no branch in either mode.
-  return LeakageContract{};
-}
-
 void ReLU::symbolic_forward(kernels::SymbolicExecutor& exec,
                             const std::vector<std::size_t>& input_shape,
                             KernelMode mode, ExecutionPath path) const {

@@ -22,12 +22,7 @@ class ReLU final : public Layer {
   /// Data-dependent: the sign test is a real branch whose outcome tracks
   /// each activation, but load/store/retire counts are fixed — the leak
   /// is purely branch-outcome shaped.  Constant-flow: branchless maxss.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
   /// The fast kernel is a vector blend in both modes: branch-free.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

@@ -48,14 +48,6 @@ void AvgPool2D::forward_into(const Tensor& input, Tensor& output,
     kernels::avgpool2d_instrumented(shape, sink);
 }
 
-LeakageContract AvgPool2D::leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::constant();
-}
-
-LeakageContract AvgPool2D::fast_leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::constant();
-}
-
 void AvgPool2D::symbolic_forward(kernels::SymbolicExecutor& exec,
                                  const std::vector<std::size_t>& input_shape,
                                  KernelMode /*mode*/,

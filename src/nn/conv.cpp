@@ -140,23 +140,6 @@ void Conv2D::visit_buffers(const BufferVisitor& visit) const {
   visit("bias", bias_.data(), bias_.size() * sizeof(float));
 }
 
-LeakageContract Conv2D::leakage_contract(KernelMode mode) const {
-  LeakageContract c;
-  if (mode == KernelMode::kDataDependent) {
-    c.branch_outcomes_vary = true;
-    c.address_stream_varies = true;
-    c.instruction_count_varies = true;
-  }
-  return c;
-}
-
-LeakageContract Conv2D::fast_leakage_contract(KernelMode /*mode*/) const {
-  // The tiled GEMM runs the same loop trip counts and touches the same
-  // buffers for every input; the data-dependent zero skip is a branchless
-  // lane blend, so even that mode leaks nothing through control flow.
-  return LeakageContract{};
-}
-
 void Conv2D::symbolic_forward(kernels::SymbolicExecutor& exec,
                               const std::vector<std::size_t>& input_shape,
                               KernelMode mode, ExecutionPath path) const {

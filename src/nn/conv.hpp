@@ -56,16 +56,9 @@ class Conv2D final : public Layer {
   /// fixed (the skip test itself always executes).  Holds for both the
   /// direct loop nest and the im2col GEMM (the im2col gather itself is a
   /// fixed pattern; only the GEMM inner loop skips).  Constant-flow:
-  /// every element does full work.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// The fast GEMM has no data-dependent branches in either mode (the
-  /// zero skip is a lane blend), but in data-dependent mode its *results*
-  /// are still pinned to the skipping semantics — the claims below
-  /// describe the generated code, and are never oracle-verified.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
+  /// every element does full work.  The fast GEMM has no data-dependent
+  /// branches in either mode (the zero skip is a lane blend).
+  ///
   /// Replays the (mode, path, algorithm) conv kernel's loop nest over
   /// the symbolic domain (kernels::conv2d_symbolic).
   void symbolic_forward(kernels::SymbolicExecutor& exec,

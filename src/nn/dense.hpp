@@ -39,15 +39,10 @@ class Dense final : public Layer {
   /// Data-dependent: the sparse-GEMM row skip elides a whole weight row
   /// — its loads, its inner-loop back-edges and its MACs — so every
   /// trace aspect varies with the input's zero pattern.  The strongest
-  /// single leak source in the model.  Constant-flow: dense GEMM.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// The fast GEMV keeps the per-input row-skip *branch* in
-  /// data-dependent mode (it elides whole weight rows, like the scalar
-  /// kernel), so that mode stays leaky on the fast path too.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
+  /// single leak source in the model.  Constant-flow: dense GEMM.  The
+  /// fast GEMV keeps the per-input row-skip *branch* in data-dependent
+  /// mode (it elides whole weight rows, like the scalar kernel), so that
+  /// mode stays leaky on the fast path too.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

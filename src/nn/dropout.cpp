@@ -22,16 +22,6 @@ void Dropout::forward_into(const Tensor& input, Tensor& output,
   std::copy(input.data(), input.data() + input.numel(), output.data());
 }
 
-LeakageContract Dropout::leakage_contract(KernelMode /*mode*/) const {
-  // Identity at inference: no trace, and the RNG is only consumed by
-  // train_forward — a deployed Dropout is side-channel-silent.
-  return LeakageContract::constant();
-}
-
-LeakageContract Dropout::fast_leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::constant();
-}
-
 void Dropout::symbolic_forward(kernels::SymbolicExecutor& exec,
                                const std::vector<std::size_t>& input_shape,
                                KernelMode /*mode*/,

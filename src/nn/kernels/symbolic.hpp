@@ -5,9 +5,8 @@
 // shape inference) while data stays symbolic, so one run covers every
 // input of that shape, and the engine behind the executor
 // (src/analysis/symexec) can decide which trace aspects *can* vary with
-// the secret input.  That derived LeakageContract is compared against
-// the hand-declared one: a lying or stale declaration becomes a static
-// lint failure instead of waiting for the dynamic oracle.
+// the secret input.  That derived LeakageContract is the layer's
+// contract.
 //
 // Where a kernel's symbolic run comes from, per execution path:
 //  * Instrumented kernels are their own model.  Each is one loop nest
@@ -143,6 +142,12 @@ class SymbolicExecutor {
   /// The kernel draws inference-time randomness (a masking
   /// countermeasure would; none of the stock kernels do).
   virtual SymValue rng_draw(const SymSite& site) = 0;
+
+  /// The kernel's trip count is an input dimension that a fixed-shape
+  /// plan pins but a variable-shape deployment does not (an RNN's
+  /// sequence length).  Informational: one fixed-shape run cannot see it,
+  /// so the layer that knows its own shape semantics reports it.
+  virtual void scales_with_shape() = 0;
 
   /// Called by Layer::symbolic_forward's base default: this layer has no
   /// symbolic model, so nothing can be derived for it.

@@ -4,23 +4,6 @@
 
 namespace sce::nn {
 
-LeakageContract Layer::leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::undeclared();
-}
-
-LeakageContract Layer::fast_leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::undeclared();
-}
-
-LeakageContract Layer::leakage_contract(KernelMode mode,
-                                        ExecutionPath path) const {
-  LeakageContract c = path == ExecutionPath::kFast
-                          ? fast_leakage_contract(mode)
-                          : leakage_contract(mode);
-  c.path = path;
-  return c;
-}
-
 void Layer::symbolic_forward(kernels::SymbolicExecutor& exec,
                              const std::vector<std::size_t>& /*input_shape*/,
                              KernelMode /*mode*/,

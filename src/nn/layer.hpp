@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "nn/kernels/execution_path.hpp"
-#include "nn/leakage_contract.hpp"
 #include "nn/tensor.hpp"
 #include "nn/workspace.hpp"
 #include "uarch/trace.hpp"
@@ -104,31 +103,14 @@ class Layer {
   virtual std::vector<std::size_t> output_shape(
       const std::vector<std::size_t>& input_shape) const = 0;
 
-  /// Static leakage metadata for this layer's *instrumented* inference
-  /// kernel in `mode`.  The base default is the conservative worst case
-  /// (`undeclared()`), so a kernel that never states its behaviour is
-  /// flagged, not trusted; every layer in this library overrides it with
-  /// claims the trace oracle cross-validates (tests/analysis).
-  virtual LeakageContract leakage_contract(KernelMode mode) const;
-
-  /// Claims about the *fast* kernel in `mode`.  No trace exists on that
-  /// path, so these describe the generated code (blend-based skips are
-  /// branchless; a row-skip branch is still a branch) and can never be
-  /// oracle-verified — the analyzer reports them as such.  The base
-  /// default is `undeclared()`: a layer that adds a fast kernel without
-  /// describing it is assumed worst-case.
-  virtual LeakageContract fast_leakage_contract(KernelMode mode) const;
-
-  /// Path-dispatching accessor; stamps `path` into the returned contract.
-  LeakageContract leakage_contract(KernelMode mode, ExecutionPath path) const;
-
   /// Run this layer's (mode, path) kernel against a symbolic executor
-  /// (nn/kernels/symbolic.hpp) so the analyzer can *derive* its leakage
-  /// contract from the code instead of trusting the declaration above.
+  /// (nn/kernels/symbolic.hpp).  The analyzer derives the layer's leakage
+  /// contract from this run (analysis::symexec::derive_layer_contract).
   /// Every layer in this library overrides it: the instrumented path runs
   /// the kernel's own symbolic instantiation, the fast path its
   /// hand-written model.  The base default reports the layer as
-  /// unmodeled, which the analyzer surfaces rather than guessing.
+  /// unmodeled, which the analyzer treats as the worst case
+  /// (LeakageContract::undeclared()).
   virtual void symbolic_forward(kernels::SymbolicExecutor& exec,
                                 const std::vector<std::size_t>& input_shape,
                                 KernelMode mode, ExecutionPath path) const;

@@ -6,8 +6,6 @@ std::string to_string(TaintTransfer transfer) {
   return transfer == TaintTransfer::kPropagate ? "propagate" : "sanitize";
 }
 
-LeakageContract LeakageContract::constant() { return LeakageContract{}; }
-
 LeakageContract LeakageContract::undeclared() {
   LeakageContract c;
   c.branch_outcomes_vary = true;
@@ -33,7 +31,7 @@ bool operator!=(const LeakageContract& a, const LeakageContract& b) {
 }
 
 std::string to_string(const LeakageContract& contract) {
-  if (!contract.declared) return "undeclared (assumed worst-case)";
+  if (!contract.declared) return "no symbolic model (assumed worst-case)";
   std::string out;
   if (contract.branch_outcomes_vary || contract.branch_count_varies) {
     out += "branches(";

@@ -1,13 +1,16 @@
 // Per-kernel leakage contracts: static metadata describing how a layer's
-// instrumented inference kernel behaves as a function of its input, per
-// KernelMode — the vocabulary the static analyzer (src/analysis) composes
-// into whole-model verdicts without executing anything.
+// inference kernel behaves as a function of its input, per (KernelMode,
+// ExecutionPath) — the vocabulary the static analyzer (src/analysis)
+// composes into whole-model verdicts without executing anything.
 //
-// Each flag makes a falsifiable claim about the kernel's dynamic trace
-// (the TraceSink event stream) and is cross-validated against the uarch
-// trace oracle in tests/analysis: a declared-varying aspect must actually
-// vary across probe inputs, and a declared-invariant aspect must be
-// bit-identical for every input of the same shape.
+// No layer declares a contract by hand: the analyzer derives it by
+// running the layer's symbolic kernel model (Layer::symbolic_forward,
+// analysis::symexec::derive_layer_contract).  Each flag makes a
+// falsifiable claim about the kernel's dynamic trace (the TraceSink event
+// stream) and is cross-validated against the uarch trace oracle: a
+// varying aspect must actually vary across probe inputs, and an
+// invariant one must be bit-identical for every input of the same shape.
+// tests/analysis pins every library layer's contract in a fixture table.
 #pragma once
 
 #include <string>
@@ -49,25 +52,25 @@ struct LeakageContract {
   bool consumes_rng = false;
   /// Trace length scales with the input *shape* (RNN timesteps): benign
   /// under a fixed-shape plan, but variable-length deployments broadcast
-  /// their length.  Informational; the fixed-shape oracle cannot check it.
+  /// their length.  Informational; the fixed-shape oracle cannot check it,
+  /// so the layer's symbolic run reports it (scales_with_shape).
   bool shape_scales_trace = false;
   /// How secret taint flows through this layer.
   TaintTransfer taint = TaintTransfer::kPropagate;
-  /// False for the conservative Layer-base default: the layer never
-  /// declared a contract, so the analyzer must assume the worst.
+  /// False for the worst case assumed for a layer with no symbolic model:
+  /// nothing derived its contract, so the analyzer must assume the worst.
   bool declared = true;
   /// Which execution path these claims describe.  Only the instrumented
   /// path emits trace events, so only its contracts can be (and are)
-  /// cross-validated by the uarch trace oracle; fast-path contracts are
-  /// honest static descriptions of the generated code that the analyzer
-  /// must report as unverified rather than silently trusting.
+  /// cross-validated by the uarch trace oracle; fast-path contracts come
+  /// from hand-written models of the generated code, which the analyzer
+  /// reports as unverified unless the symbolic verifier anchors them.
   ExecutionPath path = ExecutionPath::kInstrumented;
-  /// Verification metadata, stamped by the analyzer (never declared by a
-  /// layer): the symbolic verifier derived this contract from the kernel
-  /// code, matched it against the declaration, and — on the fast path —
-  /// anchored it to the oracle-validated instrumented contract via
-  /// refinement.  Excluded from operator== (it describes our confidence
-  /// in the claims, not the claims themselves).
+  /// Verification metadata, stamped by the symbolic verifier: on the fast
+  /// path, this contract refines the layer's derived instrumented
+  /// contract, which the trace oracle can falsify.  Excluded from
+  /// operator== (it describes our confidence in the claims, not the
+  /// claims themselves).
   bool symbolically_verified = false;
 
   /// True if any per-input trace aspect varies (RNG aside).
@@ -76,8 +79,8 @@ struct LeakageContract {
            address_stream_varies || instruction_count_varies;
   }
 
-  /// A kernel with no input dependence, no RNG draw and declared
-  /// metadata is constant-flow: its trace is a pure function of shape.
+  /// A kernel with no input dependence and no RNG draw is constant-flow:
+  /// its trace is a pure function of shape.
   bool constant_flow() const { return !input_dependent() && !consumes_rng; }
 
   /// True when the trace oracle can falsify these claims: it replays the
@@ -89,12 +92,10 @@ struct LeakageContract {
 
   /// True when some authority backs these claims: the dynamic trace
   /// oracle (instrumented path) or the symbolic verifier's refinement
-  /// chain (fast path).
+  /// link (fast path).
   bool verified() const { return oracle_verifiable() || symbolically_verified; }
 
-  /// Fully invariant kernel (the countermeasure claim).
-  static LeakageContract constant();
-  /// Worst-case contract used when a layer declares nothing.
+  /// Worst-case contract assumed for a layer with no symbolic model.
   static LeakageContract undeclared();
 };
 

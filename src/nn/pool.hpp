@@ -25,13 +25,8 @@ class MaxPool2D final : public Layer {
 
   /// Data-dependent: one max-update branch per non-first window element,
   /// outcome decided by where the max sits; memory traffic and counts
-  /// are fixed.  Constant-flow: branchless max.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// The fast kernel's max is a cmov in both modes: branch-free.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
+  /// are fixed.  Constant-flow: branchless max.  The fast kernel's max
+  /// is a cmov in both modes: branch-free.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

@@ -42,15 +42,10 @@ class ElmanRNN final : public Layer {
   /// and ReLU-sparse hidden rows) plus the recurrent sign branch — every
   /// trace aspect varies.  In both modes the trace additionally scales
   /// with the timestep count, so variable-length deployments broadcast
-  /// their sequence length even under the countermeasure.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// The fast kernel keeps the row-skip branches in data-dependent mode
-  /// (and the timestep scaling in both), so its claims match the
-  /// instrumented ones.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
+  /// their sequence length even under the countermeasure; the symbolic
+  /// run reports that scaling (SymbolicExecutor::scales_with_shape).  The
+  /// fast kernel keeps the row-skip branches in data-dependent mode, so
+  /// it derives the same claims as the instrumented one.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

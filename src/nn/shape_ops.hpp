@@ -20,12 +20,8 @@ class Flatten final : public Layer {
       const std::vector<std::size_t>& input_shape) const override;
 
   /// A view in a real implementation; here a traceless copy.  Nothing to
-  /// observe in either mode, on either path.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
-  /// A traceless value copy: no events in the symbolic domain either.
+  /// observe in either mode, on either path: no events in the symbolic
+  /// domain either.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;
@@ -51,13 +47,8 @@ class Softmax final : public Layer {
 
   /// The running-max compare compiles branchless (cmov) and the
   /// exp-normalize loops do fixed work per element: constant-flow in
-  /// both modes despite the value-dependent arithmetic.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// Identical code shape on the fast path.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
+  /// both modes despite the value-dependent arithmetic.  Identical code
+  /// shape on the fast path.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

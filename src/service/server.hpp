@@ -62,8 +62,9 @@ struct ServerConfig {
   /// verdict gate — the service's default job is *measuring* leaky
   /// models, so only opt-in deployments turn this on).
   std::optional<analysis::Verdict> admit_fail_on;
-  /// Reject models with layers the analyzer cannot reason about — an
-  /// undeclared contract means no leakage claim can be made either way.
+  /// Reject models with layers the analyzer cannot reason about — a
+  /// layer with no symbolic model has no derived contract, so no leakage
+  /// claim can be made either way.
   bool admit_fail_on_undeclared = true;
   /// Also cross-validate contracts against the trace oracle at
   /// admission (slow; off by default).

@@ -282,9 +282,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxJsonDepth)
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -425,6 +430,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // containers open around pos_
 };
 
 }  // namespace

@@ -8,6 +8,7 @@
 // hand-written JSON).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -117,8 +118,14 @@ class JsonValue {
   Object object_;
 };
 
+/// Deepest container nesting parse_json accepts.  The parser recurses
+/// once per '[' or '{', so a bound is what keeps a hostile document (a
+/// protocol frame may be 64 MiB) from overflowing the stack; every
+/// document this project writes nests far less deeply.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Parse a complete JSON document; throws InvalidArgument on malformed
-/// input or trailing garbage.
+/// input, trailing garbage, or nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace sce::util

@@ -1,9 +1,10 @@
 // Minimal leveled logger used by campaign drivers and backends.
 //
 // Single-process tooling does not need a logging framework; this keeps a
-// global level, writes to stderr, and is safe to call from one thread at a
-// time (all sce drivers are single-threaded by design — the measured
-// workload must not share its core with logging).
+// global level and writes to stderr.  It is safe to call from any thread:
+// the level is an atomic, and log_line emits each line with a single
+// fprintf, which stdio locks, so concurrent lines never interleave
+// (their order across threads is unspecified).
 #pragma once
 
 #include <sstream>

@@ -1,21 +1,23 @@
 // Custom layers exercising the analyzer's edge cases: a deliberately
-// leaky kernel (with an honest or a lying contract), a sanitizing layer
-// that clears secret taint, and a layer that never declares a contract.
+// leaky kernel (with an honest or a lying symbolic model), a sanitizing
+// layer that clears secret taint, and a layer with no symbolic model.
 #pragma once
 
 #include <algorithm>
 #include <vector>
 
+#include "nn/kernels/symbolic.hpp"
 #include "nn/layer.hpp"
 #include "util/error.hpp"
 
 namespace sce::analysis::testing {
 
 /// Identity layer whose kernel takes one real branch per element on the
-/// sign of the activation — a deliberately leaky custom kernel.  The
-/// declared contract is honest by default; construct with
-/// `lie_constant = true` to declare constant-flow anyway, which the
-/// trace oracle must catch.
+/// sign of the activation — a deliberately leaky custom kernel.  Its
+/// symbolic model is honest by default; construct with
+/// `lie_constant = true` to leave the branch out of the model, so the
+/// derived contract claims constant-flow and the trace oracle must catch
+/// it.  `claim_rng = true` makes the model draw inference randomness.
 class LeakyProbeLayer final : public nn::Layer {
  public:
   explicit LeakyProbeLayer(bool lie_constant = false,
@@ -41,12 +43,20 @@ class LeakyProbeLayer final : public nn::Layer {
     }
   }
 
-  using nn::Layer::leakage_contract;
-  nn::LeakageContract leakage_contract(nn::KernelMode /*mode*/) const override {
-    nn::LeakageContract c;
-    if (!lie_constant_) c.branch_outcomes_vary = true;
-    c.consumes_rng = claim_rng_;
-    return c;
+  void symbolic_forward(nn::kernels::SymbolicExecutor& exec,
+                        const std::vector<std::size_t>& input_shape,
+                        nn::KernelMode /*mode*/,
+                        nn::ExecutionPath /*path*/) const override {
+    std::size_t n = 1;
+    for (std::size_t d : input_shape) n *= d;
+    const nn::kernels::SymBuffer in = exec.input_buffer();
+    const nn::kernels::SymBuffer out = exec.output_buffer(n);
+    if (claim_rng_) (void)exec.rng_draw(SCE_SYM_SITE("probe mask draw"));
+    for (std::size_t i = 0; i < n; ++i) {
+      const nn::kernels::SymValue v = exec.load(in, i);
+      if (!lie_constant_) exec.branch(SCE_SYM_SITE("probe sign branch"), v);
+      exec.store(out, i, v);
+    }
   }
 
   nn::Tensor train_forward(const nn::Tensor& input) override { return input; }
@@ -61,9 +71,10 @@ class LeakyProbeLayer final : public nn::Layer {
   bool claim_rng_;
 };
 
-/// Constant-output layer: traceless, and its output carries no secret —
-/// the contract declares TaintTransfer::kSanitize, so downstream leaky
-/// kernels become unexploitable.
+/// Constant-output layer: traceless, and its output carries no secret.
+/// Its symbolic model assigns public constants, so the engine derives
+/// TaintTransfer::kSanitize and downstream leaky kernels become
+/// unexploitable.
 class SanitizingLayer final : public nn::Layer {
  public:
   std::string name() const override { return "sanitizer"; }
@@ -77,11 +88,16 @@ class SanitizingLayer final : public nn::Layer {
     std::fill(output.data(), output.data() + output.numel(), 0.5f);
   }
 
-  using nn::Layer::leakage_contract;
-  nn::LeakageContract leakage_contract(nn::KernelMode /*mode*/) const override {
-    nn::LeakageContract c;
-    c.taint = nn::TaintTransfer::kSanitize;
-    return c;
+  void symbolic_forward(nn::kernels::SymbolicExecutor& exec,
+                        const std::vector<std::size_t>& input_shape,
+                        nn::KernelMode /*mode*/,
+                        nn::ExecutionPath /*path*/) const override {
+    std::size_t n = 1;
+    for (std::size_t d : input_shape) n *= d;
+    (void)exec.input_buffer();
+    const nn::kernels::SymBuffer out = exec.output_buffer(n);
+    for (std::size_t i = 0; i < n; ++i)
+      exec.assign(out, i, nn::kernels::SymValue{});  // public constant
   }
 
   nn::Tensor train_forward(const nn::Tensor& input) override { return input; }
@@ -92,8 +108,8 @@ class SanitizingLayer final : public nn::Layer {
   }
 };
 
-/// Identity layer that never overrides leakage_contract: the analyzer
-/// must fall back to the conservative worst case.
+/// Identity layer that never overrides symbolic_forward: no contract can
+/// be derived, so the analyzer must assume the conservative worst case.
 class UndeclaredLayer final : public nn::Layer {
  public:
   std::string name() const override { return "undeclared"; }

@@ -155,6 +155,7 @@ TEST(Report, JsonRoundTripsThroughParser) {
       model, {1, 28, 28}, KernelMode::kDataDependent, "mnist");
   const util::JsonValue doc = util::parse_json(render_json(report));
 
+  EXPECT_EQ(doc.at("schema_version").as_number(), 3.0);
   EXPECT_EQ(doc.at("model").as_string(), "mnist");
   EXPECT_EQ(doc.at("verdict").as_string(), to_string(report.verdict));
   EXPECT_EQ(doc.at("exploitable_layers").as_number(),
@@ -168,6 +169,14 @@ TEST(Report, JsonRoundTripsThroughParser) {
   ASSERT_NE(first.find("contract"), nullptr);
   EXPECT_EQ(first.at("contract").at("branch_outcomes_vary").as_bool(),
             report.findings[0].contract.branch_outcomes_vary);
+  // The contract is the derived one, with its witnesses; there is no
+  // second, declared copy to compare it with.
+  EXPECT_EQ(first.at("witnesses").size(),
+            report.findings[0].witnesses.size());
+  EXPECT_EQ(first.find("derived"), nullptr);
+  EXPECT_EQ(first.find("derived_matches_declared"), nullptr);
+  EXPECT_EQ(doc.find("mismatched_contracts"), nullptr);
+  EXPECT_EQ(doc.find("underived_layers"), nullptr);
 }
 
 }  // namespace

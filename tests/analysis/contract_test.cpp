@@ -1,6 +1,7 @@
 // LeakageContract semantics plus the per-layer µarch trace oracle:
-// every contract declared in src/nn must agree, claim by claim, with the
-// variance the RecordingSink actually observes across probe inputs.
+// every contract derived from a src/nn layer's symbolic model must match
+// the pinned fixture table and agree, claim by claim, with the variance
+// the RecordingSink actually observes across probe inputs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +9,7 @@
 
 #include "analysis/events.hpp"
 #include "analysis/oracle.hpp"
+#include "analysis/symexec/engine.hpp"
 #include "nn/activation.hpp"
 #include "nn/avgpool.hpp"
 #include "nn/conv.hpp"
@@ -28,8 +30,17 @@ using nn::LeakageContract;
 using testing::LeakyProbeLayer;
 using testing::UndeclaredLayer;
 
+LeakageContract derived_contract(
+    const nn::Layer& layer, const std::vector<std::size_t>& shape,
+    KernelMode mode,
+    nn::ExecutionPath path = nn::ExecutionPath::kInstrumented) {
+  return symexec::derive_layer_contract(layer, shape, mode, path).contract;
+}
+
 TEST(LeakageContract, ConstantIsConstantFlow) {
-  const LeakageContract c = LeakageContract::constant();
+  // A default-constructed contract is the fully invariant kernel (the
+  // countermeasure claim).
+  const LeakageContract c;
   EXPECT_TRUE(c.constant_flow());
   EXPECT_FALSE(c.input_dependent());
   EXPECT_TRUE(c.declared);
@@ -47,33 +58,38 @@ TEST(LeakageContract, UndeclaredIsWorstCase) {
 
 TEST(LeakageContract, BaseLayerDefaultIsUndeclared) {
   UndeclaredLayer layer;
-  EXPECT_EQ(layer.leakage_contract(KernelMode::kDataDependent),
+  EXPECT_EQ(derived_contract(layer, {4}, KernelMode::kDataDependent),
             LeakageContract::undeclared());
-  EXPECT_EQ(layer.leakage_contract(KernelMode::kConstantFlow),
+  EXPECT_EQ(derived_contract(layer, {4}, KernelMode::kConstantFlow),
             LeakageContract::undeclared());
 }
 
 TEST(LeakageContract, EveryLibraryLayerIsConstantInConstantFlowMode) {
-  const std::vector<std::unique_ptr<nn::Layer>> layers = [] {
-    std::vector<std::unique_ptr<nn::Layer>> v;
-    v.push_back(std::make_unique<nn::Conv2D>(1, 2, 3));
-    v.push_back(std::make_unique<nn::ReLU>());
-    v.push_back(std::make_unique<nn::MaxPool2D>(2));
-    v.push_back(std::make_unique<nn::AvgPool2D>(2));
-    v.push_back(std::make_unique<nn::Flatten>());
-    v.push_back(std::make_unique<nn::Dense>(8, 4));
-    v.push_back(std::make_unique<nn::Softmax>());
-    v.push_back(std::make_unique<nn::Dropout>(0.5f));
-    v.push_back(std::make_unique<nn::ElmanRNN>(8, 4));
+  struct Case {
+    std::unique_ptr<nn::Layer> layer;
+    std::vector<std::size_t> shape;
+  };
+  const std::vector<Case> cases = [] {
+    std::vector<Case> v;
+    v.push_back({std::make_unique<nn::Conv2D>(1, 2, 3), {1, 6, 6}});
+    v.push_back({std::make_unique<nn::ReLU>(), {8}});
+    v.push_back({std::make_unique<nn::MaxPool2D>(2), {1, 4, 4}});
+    v.push_back({std::make_unique<nn::AvgPool2D>(2), {1, 4, 4}});
+    v.push_back({std::make_unique<nn::Flatten>(), {2, 4}});
+    v.push_back({std::make_unique<nn::Dense>(8, 4), {8}});
+    v.push_back({std::make_unique<nn::Softmax>(), {8}});
+    v.push_back({std::make_unique<nn::Dropout>(0.5f), {8}});
+    v.push_back({std::make_unique<nn::ElmanRNN>(8, 4), {1, 3, 8}});
     return v;
   }();
-  for (const auto& layer : layers) {
+  for (const Case& entry : cases) {
+    const std::string name = entry.layer->name();
     const LeakageContract c =
-        layer->leakage_contract(KernelMode::kConstantFlow);
-    EXPECT_TRUE(c.declared) << layer->name();
+        derived_contract(*entry.layer, entry.shape, KernelMode::kConstantFlow);
+    EXPECT_TRUE(c.declared) << name;
     EXPECT_FALSE(c.input_dependent())
-        << layer->name() << " claims input dependence under constant-flow";
-    EXPECT_FALSE(c.consumes_rng) << layer->name();
+        << name << " claims input dependence under constant-flow";
+    EXPECT_FALSE(c.consumes_rng) << name;
   }
 }
 
@@ -84,7 +100,7 @@ TEST(LeakageContract, DropoutDrawsNoRngAtInference) {
   nn::Dropout dropout(0.5f);
   for (KernelMode mode :
        {KernelMode::kDataDependent, KernelMode::kConstantFlow}) {
-    EXPECT_FALSE(dropout.leakage_contract(mode).consumes_rng);
+    EXPECT_FALSE(derived_contract(dropout, {4, 6}, mode).consumes_rng);
     const TraceVariance observed =
         probe_layer(dropout, default_probes({4, 6}), mode);
     EXPECT_FALSE(observed.any());
@@ -92,23 +108,23 @@ TEST(LeakageContract, DropoutDrawsNoRngAtInference) {
 }
 
 // The heart of the cross-validation: for each library layer and each
-// kernel mode, observed trace variance must equal the declared contract
-// flag-for-flag.  A contract that over-claims or under-claims fails here.
+// kernel mode, observed trace variance must equal the derived contract
+// flag-for-flag.  A model that over-claims or under-claims fails here.
 void expect_contract_matches_oracle(const nn::Layer& layer,
                                     const std::vector<std::size_t>& shape) {
   for (KernelMode mode :
        {KernelMode::kDataDependent, KernelMode::kConstantFlow}) {
-    const LeakageContract declared = layer.leakage_contract(mode);
-    ASSERT_TRUE(declared.declared) << layer.name();
+    const LeakageContract derived = derived_contract(layer, shape, mode);
+    ASSERT_TRUE(derived.declared) << layer.name();
     const TraceVariance observed =
         probe_layer(layer, default_probes(shape), mode);
-    EXPECT_EQ(declared.branch_outcomes_vary, observed.branch_outcomes)
+    EXPECT_EQ(derived.branch_outcomes_vary, observed.branch_outcomes)
         << layer.name() << " branch outcomes, " << to_string(mode);
-    EXPECT_EQ(declared.branch_count_varies, observed.branch_count)
+    EXPECT_EQ(derived.branch_count_varies, observed.branch_count)
         << layer.name() << " branch count, " << to_string(mode);
-    EXPECT_EQ(declared.address_stream_varies, observed.address_stream)
+    EXPECT_EQ(derived.address_stream_varies, observed.address_stream)
         << layer.name() << " address stream, " << to_string(mode);
-    EXPECT_EQ(declared.instruction_count_varies, observed.instruction_count)
+    EXPECT_EQ(derived.instruction_count_varies, observed.instruction_count)
         << layer.name() << " instruction count, " << to_string(mode);
   }
 }
@@ -158,24 +174,17 @@ TEST(ContractOracle, ElmanRNN) {
   rnn.initialize(rng);
   expect_contract_matches_oracle(rnn, {1, 5, 6});
   // shape_scales_trace is the one claim the fixed-shape oracle cannot
-  // falsify; assert it is declared (both modes) since an RNN's trace
-  // length broadcasts the sequence length.
-  EXPECT_TRUE(
-      rnn.leakage_contract(KernelMode::kDataDependent).shape_scales_trace);
-  EXPECT_TRUE(
-      rnn.leakage_contract(KernelMode::kConstantFlow).shape_scales_trace);
+  // falsify; assert the symbolic run reports it (both modes) since an
+  // RNN's trace length broadcasts the sequence length.
+  EXPECT_TRUE(derived_contract(rnn, {1, 5, 6}, KernelMode::kDataDependent)
+                  .shape_scales_trace);
+  EXPECT_TRUE(derived_contract(rnn, {1, 5, 6}, KernelMode::kConstantFlow)
+                  .shape_scales_trace);
 }
 
 // The reference table of every library layer's contract, per (mode,
 // path).  Each row is a literal expectation, so a kernel change that
 // moves any claim has to edit this table in the same commit.
-nn::LeakageContract fixture_contract(const nn::Layer& layer,
-                                     const std::vector<std::size_t>& shape,
-                                     KernelMode mode, nn::ExecutionPath path) {
-  (void)shape;
-  return layer.leakage_contract(mode, path);
-}
-
 std::unique_ptr<nn::Layer> make_fixture_layer(const std::string& name) {
   if (name == "ReLU") return std::make_unique<nn::ReLU>();
   if (name == "MaxPool2D") return std::make_unique<nn::MaxPool2D>(2);
@@ -266,7 +275,7 @@ TEST(ContractFixtures, LibraryLayersArePinned) {
   for (const Row& row : rows) {
     const std::unique_ptr<nn::Layer> layer = make_fixture_layer(row.layer);
     ASSERT_NE(layer, nullptr) << row.layer;
-    const LeakageContract c = fixture_contract(
+    const LeakageContract c = derived_contract(
         *layer, fixture_shape(row.layer), row.mode, row.path);
     const std::string where = std::string(row.layer) + " " +
                               to_string(row.mode) + " " +
@@ -295,15 +304,16 @@ TEST(ContractOracle, HonestLeakyLayerPasses) {
 }
 
 TEST(ContractOracle, LyingConstantContractIsCaught) {
-  // A kernel that branches on its input but declares constant-flow: the
-  // oracle must observe branch-outcome variance the contract denies.
+  // A kernel that branches on its input but whose symbolic model leaves
+  // the branch out, deriving constant-flow: the oracle must observe
+  // branch-outcome variance the contract denies.
   LeakyProbeLayer liar(/*lie_constant=*/true);
-  const LeakageContract declared =
-      liar.leakage_contract(KernelMode::kDataDependent);
-  EXPECT_TRUE(declared.constant_flow());
+  const LeakageContract derived =
+      derived_contract(liar, {8}, KernelMode::kDataDependent);
+  EXPECT_TRUE(derived.constant_flow());
   const TraceVariance observed =
       probe_layer(liar, default_probes({8}), KernelMode::kDataDependent);
-  EXPECT_TRUE(observed.branch_outcomes);  // declared false, observed true
+  EXPECT_TRUE(observed.branch_outcomes);  // derived false, observed true
 }
 
 TEST(Events, VerdictLattice) {
@@ -311,7 +321,7 @@ TEST(Events, VerdictLattice) {
   EXPECT_LT(Verdict::kLeaksControlFlow, Verdict::kLeaksAddresses);
   EXPECT_EQ(join(Verdict::kConstantFlow, Verdict::kLeaksAddresses),
             Verdict::kLeaksAddresses);
-  EXPECT_EQ(verdict_for(LeakageContract::constant()),
+  EXPECT_EQ(verdict_for(LeakageContract{}),
             Verdict::kConstantFlow);
   EXPECT_EQ(verdict_for(LeakageContract::undeclared()),
             Verdict::kLeaksAddresses);
@@ -337,7 +347,7 @@ TEST(Events, ParseVerdictRoundTrips) {
 }
 
 TEST(Events, PredictedEventsMapping) {
-  EXPECT_TRUE(predicted_events(LeakageContract::constant()).empty());
+  EXPECT_TRUE(predicted_events(LeakageContract{}).empty());
 
   LeakageContract outcomes;
   outcomes.branch_outcomes_vary = true;

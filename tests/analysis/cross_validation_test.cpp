@@ -51,11 +51,11 @@ TEST(CrossValidation, EveryZooModelAgreesWithOracle) {
         ADD_FAILURE() << e.name << " (" << to_string(mode) << ") layer "
                       << m.layer_index << " " << m.layer_name << ": "
                       << m.detail;
-      // Every zoo layer declares a contract, so nothing was skipped.
-      EXPECT_TRUE(
-          cross_check_model(e.model, e.input_shape, mode,
-                            /*report_undeclared=*/true)
-              .empty())
+      // Every zoo layer has a symbolic model, so nothing was skipped.
+      EXPECT_EQ(PlanAnalyzer()
+                    .analyze(e.model, e.input_shape, mode, e.name)
+                    .undeclared_layers,
+                0u)
           << e.name;
     }
   }
@@ -79,8 +79,9 @@ TEST(CrossValidation, ZooVerdictsMatchTheThreatModel) {
 }
 
 TEST(CrossValidation, LyingLayerInAModelIsCaught) {
-  // The deliberately leaky custom layer with a constant-flow contract:
-  // cross_check_model must report exactly its branch-outcome claim.
+  // The deliberately leaky custom layer whose symbolic model derives a
+  // constant-flow contract: cross_check_model must report exactly its
+  // branch-outcome claim.
   nn::Sequential model;
   model.add(std::make_unique<LeakyProbeLayer>(/*lie_constant=*/true));
   const auto mismatches =
@@ -93,15 +94,13 @@ TEST(CrossValidation, LyingLayerInAModelIsCaught) {
       << mismatches[0].detail;
 }
 
-TEST(CrossValidation, UndeclaredLayersAreSkippedUnlessReported) {
+TEST(CrossValidation, UndeclaredLayersAreSkipped) {
+  // A layer with no symbolic model is analyzed as the worst case, which
+  // no trace can falsify: the oracle skips it rather than report it.
   nn::Sequential model;
   model.add(std::make_unique<UndeclaredLayer>());
   EXPECT_TRUE(
       cross_check_model(model, {4}, KernelMode::kDataDependent).empty());
-  const auto reported = cross_check_model(
-      model, {4}, KernelMode::kDataDependent, /*report_undeclared=*/true);
-  ASSERT_EQ(reported.size(), 1u);
-  EXPECT_EQ(reported[0].layer_name, "undeclared");
 }
 
 bool same_trace(const uarch::RecordingSink& a,

@@ -42,7 +42,7 @@ TEST(Lint, ConstantFlowModePassesVerdictGate) {
   EXPECT_EQ(report.analysis.verdict, Verdict::kConstantFlow);
 }
 
-TEST(Lint, CrossCheckRunsAndAgreesOnDeclaredContracts) {
+TEST(Lint, CrossCheckRunsAndAgreesOnDerivedContracts) {
   const nn::Sequential model = core::testing::tiny_model();
   LintOptions options;
   options.cross_check = true;
@@ -55,9 +55,9 @@ TEST(Lint, CrossCheckRunsAndAgreesOnDeclaredContracts) {
 TEST(Lint, CrossCheckOnFastPathValidatesInstrumentedAnchors) {
   // The fast kernels emit no trace, so the oracle cannot observe them
   // directly; cross-check instead validates the *instrumented* anchor
-  // contracts that the symbolic refinement chain ties the fast claims
+  // contracts that the symbolic refinement link ties the fast claims
   // to.  With the unverified gate on, the whole fast-path story must
-  // hold: no oracle disagreement, no mismatch, nothing unverified.
+  // hold: no oracle disagreement, nothing unverified.
   const nn::Sequential model = core::testing::tiny_model();
   LintOptions options;
   options.cross_check = true;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "analysis/symexec/engine.hpp"
 #include "nn/activation.hpp"
 #include "nn/avgpool.hpp"
 #include "nn/conv.hpp"
@@ -260,15 +261,22 @@ TEST(KernelPath, ObservingSinkForcesInstrumentedKernels) {
   EXPECT_EQ(requested_fast.retired(), requested_instrumented.retired());
 }
 
+LeakageContract derived_contract(const Layer& layer,
+                                 const std::vector<std::size_t>& shape,
+                                 KernelMode mode, ExecutionPath path) {
+  return analysis::symexec::derive_layer_contract(layer, shape, mode, path)
+      .contract;
+}
+
 TEST(KernelPath, ContractsStampPathAndVerifiability) {
   Dense dense(4, 4);
-  const LeakageContract instrumented = dense.leakage_contract(
-      KernelMode::kDataDependent, ExecutionPath::kInstrumented);
+  const LeakageContract instrumented = derived_contract(
+      dense, {4}, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
   EXPECT_EQ(instrumented.path, ExecutionPath::kInstrumented);
   EXPECT_TRUE(instrumented.oracle_verifiable());
 
-  const LeakageContract fast =
-      dense.leakage_contract(KernelMode::kDataDependent, ExecutionPath::kFast);
+  const LeakageContract fast = derived_contract(
+      dense, {4}, KernelMode::kDataDependent, ExecutionPath::kFast);
   EXPECT_EQ(fast.path, ExecutionPath::kFast);
   EXPECT_FALSE(fast.oracle_verifiable());
   EXPECT_NE(to_string(fast).find("fast path"), std::string::npos);
@@ -278,11 +286,11 @@ TEST(KernelPath, ContractsStampPathAndVerifiability) {
   // zero skip is branchless, so its fast contract is constant-flow.
   EXPECT_TRUE(fast.input_dependent());
   Conv2D conv(1, 1, 3);
-  EXPECT_FALSE(conv.leakage_contract(KernelMode::kDataDependent,
-                                     ExecutionPath::kFast)
+  EXPECT_FALSE(derived_contract(conv, {1, 6, 6}, KernelMode::kDataDependent,
+                                ExecutionPath::kFast)
                    .input_dependent());
-  EXPECT_TRUE(conv.leakage_contract(KernelMode::kDataDependent,
-                                    ExecutionPath::kInstrumented)
+  EXPECT_TRUE(derived_contract(conv, {1, 6, 6}, KernelMode::kDataDependent,
+                               ExecutionPath::kInstrumented)
                   .input_dependent());
 }
 

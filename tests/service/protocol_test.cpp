@@ -120,7 +120,9 @@ TEST(Protocol, TenantMistakesComeBackAsOkFalse) {
         std::string("{\"verb\":\"frobnicate\"}"),
         std::string("{\"verb\":\"status\",\"id\":999}"),
         std::string("{\"verb\":\"submit\",\"architecture\":\"vax\","
-                    "\"weights_b64\":\"\",\"config\":{}}")}) {
+                    "\"weights_b64\":\"\",\"config\":{}}"),
+        // Deep enough to overflow an unbounded recursive parser's stack.
+        std::string(100000, '[')}) {
     const util::JsonValue doc = util::parse_json(
         handle_request(server, bad, shutdown_requested));
     EXPECT_FALSE(doc.at("ok").as_bool()) << bad;
@@ -208,6 +210,30 @@ TEST(Socket, ServesTheProtocolEndToEnd) {
   }
   serving.join();
   EXPECT_EQ(server.stats().cache_completions, 1u);
+}
+
+TEST(Socket, DeepFrameIsRejectedAndServingContinues) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sce_socket_deep.sock")
+          .string();
+  EvaluationServer server(test_server_config("socketdeep"));
+  SocketFrontEnd front_end(server, path);
+  std::thread serving([&front_end] { front_end.serve(); });
+
+  {
+    UnixSocket hostile = UnixSocket::connect_to(path);
+    const util::JsonValue reply = util::parse_json(
+        request_reply(hostile, std::string(100000, '[')));
+    EXPECT_FALSE(reply.at("ok").as_bool());
+    EXPECT_EQ(reply.at("error_type").as_string(), "invalid-argument");
+  }
+  {
+    UnixSocket client = UnixSocket::connect_to(path);
+    const util::JsonValue shutdown = util::parse_json(
+        request_reply(client, make_shutdown_request()));
+    EXPECT_TRUE(shutdown.at("ok").as_bool());
+  }
+  serving.join();
 }
 
 }  // namespace

@@ -149,6 +149,26 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(parse_json("1.2.3"), InvalidArgument);
 }
 
+TEST(JsonParse, RejectsNestingPastTheDepthLimit) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const JsonValue at_limit = parse_json(nested(kMaxJsonDepth));
+  EXPECT_EQ(at_limit.size(), 1u);
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1)), InvalidArgument);
+  EXPECT_THROW(parse_json(std::string(kMaxJsonDepth + 1, '{')),
+               InvalidArgument);
+  // Deep enough to overflow the stack of an unbounded recursive parser.
+  EXPECT_THROW(parse_json(std::string(100000, '[')), InvalidArgument);
+  // Objects and arrays count alike.
+  std::string mixed;
+  for (std::size_t i = 0; i < kMaxJsonDepth; ++i)
+    mixed += i % 2 ? "[" : "{\"k\":";
+  mixed += "1";
+  for (std::size_t i = kMaxJsonDepth; i-- > 0;) mixed += i % 2 ? "]" : "}";
+  EXPECT_NO_THROW(parse_json(mixed));
+}
+
 TEST(JsonParse, TypeMismatchesThrow) {
   const JsonValue v = parse_json("[1]");
   EXPECT_THROW(v.as_bool(), InvalidArgument);

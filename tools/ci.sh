@@ -50,25 +50,32 @@ if "$BUILD_DIR/tools/leakage_lint" --model mnist --mode data-dependent \
 fi
 echo "==> lint gate rejects the data-dependent model (expected)"
 
-echo "==> lint: derived-vs-declared contracts (zoo x modes x paths)"
+echo "==> lint: derived contracts, oracle-pinned (zoo x modes x paths)"
 # The symbolic verifier derives every layer's LeakageContract from the
-# kernel code and compares it with the declaration; --fail-on-unverified
-# additionally requires every contract to be backed by an authority
-# (trace oracle on the instrumented path, refinement chain on the fast
-# path).  Any mismatch, underived zoo layer or oracle-unverified fast
-# contract exits non-zero.  The SARIF report from the deployment
-# configuration (fast path) is the CI artifact.
+# kernel code, and that derived contract is the one the gate uses.  On
+# the instrumented cells --cross-check pins it to the uarch trace oracle
+# and --fail-on-undeclared rejects any zoo layer without a symbolic
+# model.  On every cell --fail-on-unverified requires an authority behind
+# each contract (trace oracle on the instrumented path, refinement link
+# on the fast path).  The SARIF report from the deployment configuration
+# (fast path) is the CI artifact.
 for sce_model in mnist cifar sequence; do
   for sce_mode in data-dependent constant-flow; do
     for sce_path in instrumented fast; do
+      sce_pin=""
+      if [ "$sce_path" = instrumented ]; then
+        sce_pin="--cross-check --fail-on-undeclared"
+      fi
+      # shellcheck disable=SC2086  # $sce_pin is a word list by design
       "$BUILD_DIR/tools/leakage_lint" --model "$sce_model" \
-        --mode "$sce_mode" --path "$sce_path" --fail-on-unverified --quiet
+        --mode "$sce_mode" --path "$sce_path" --fail-on-unverified --quiet \
+        $sce_pin
     done
   done
 done
 "$BUILD_DIR/tools/leakage_lint" --model mnist --mode data-dependent \
   --path fast --fail-on-unverified --quiet --sarif lint_findings.sarif
-echo "==> derived contracts match declarations (12/12 cells verified)"
+echo "==> derived contracts verified, instrumented cells oracle-pinned (12/12)"
 
 echo "==> running tier-1 suite"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"

@@ -4,7 +4,8 @@
 // report and maps the LintReport onto exit codes.
 //
 // Exit codes: 0 clean, 1 lint gate failed (--fail-on threshold reached,
-// undeclared contract with --fail-on-undeclared, or --cross-check
+// a layer without a symbolic model under --fail-on-undeclared, an
+// unverified contract under --fail-on-unverified, or a --cross-check
 // disagreement), 2 usage error.
 #include <cstdio>
 #include <fstream>
@@ -86,12 +87,16 @@ int main(int argc, char** argv) {
                  "kernel witness locations) to this path",
                  "");
   cli.add_flag("fail-on-undeclared",
-               "also fail when any layer lacks a leakage contract");
+               "also fail when any layer has no symbolic kernel model (its "
+               "contract is then assumed worst-case)");
   cli.add_flag("fail-on-unverified",
                "also fail when any contract is neither oracle-verifiable "
                "nor symbolically verified");
   cli.add_flag("cross-check",
-               "validate declared contracts against the uarch trace oracle");
+               "run the uarch trace oracle on every layer and fail if it "
+               "disagrees with the contract derived from the instrumented "
+               "kernel (on --path fast this checks the instrumented "
+               "contracts the fast ones are anchored to)");
   cli.add_flag("list-kernels",
                "print the kernel registry (op x mode x path) and exit");
   cli.add_flag("quiet", "suppress the text report");
