@@ -1,5 +1,6 @@
 #include "hpc/simulated_pmu.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -12,7 +13,52 @@ namespace {
 constexpr std::uintptr_t kNormalizedBase = std::uintptr_t{1} << 34;
 constexpr std::uintptr_t kPageBits = 12;  // 4 KiB frames
 constexpr std::uintptr_t kPageOffsetMask = (std::uintptr_t{1} << kPageBits) - 1;
+// Room for a model of up to 256 distinct 4 KiB pages (1 MiB) before the
+// page table first grows.
+constexpr std::size_t kInitialPageSlots = 512;
+
+// Fibonacci hashing: spreads runs of consecutive page numbers.
+std::size_t slot_hash(std::uintptr_t page, std::size_t mask) {
+  return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ULL) >> 32) &
+         mask;
+}
 }  // namespace
+
+FirstTouchPages::FirstTouchPages() : slots_(kInitialPageSlots) {}
+
+void FirstTouchPages::clear() {
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
+  memo_page_ = kNoPage;
+}
+
+std::uintptr_t FirstTouchPages::lookup_or_insert(std::uintptr_t page) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = slot_hash(page, mask);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.page == page) return slot.frame;
+    if (slot.page == kNoPage) {
+      if (2 * (size_ + 1) > slots_.size()) {
+        grow();
+        return lookup_or_insert(page);
+      }
+      slot = Slot{page, size_++};
+      return slot.frame;
+    }
+  }
+}
+
+void FirstTouchPages::grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.page == kNoPage) continue;
+    std::size_t i = slot_hash(slot.page, mask);
+    while (slots_[i].page != kNoPage) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
 
 std::array<EnvironmentSpec, kNumEvents>
 SimulatedPmuConfig::default_environment() {
@@ -126,7 +172,6 @@ void SimulatedPmu::start() {
     // A cold start is a fresh process image: the OS hands out frames in
     // first-touch order again.
     page_frames_.clear();
-    next_frame_ = 0;
   }
 }
 
@@ -136,10 +181,7 @@ std::uintptr_t SimulatedPmu::normalize(const void* addr) {
   const auto raw = reinterpret_cast<std::uintptr_t>(addr);
   if (trusted_canonical_) return raw;  // replay already normalized
   if (!config_.normalize_addresses) return raw;
-  const std::uintptr_t page = raw >> kPageBits;
-  auto [it, inserted] = page_frames_.try_emplace(page, next_frame_);
-  if (inserted) ++next_frame_;
-  return kNormalizedBase + (it->second << kPageBits) +
+  return kNormalizedBase + (page_frames_.frame_of(raw >> kPageBits) << kPageBits) +
          (raw & kPageOffsetMask);
 }
 

@@ -19,7 +19,7 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "hpc/counter_provider.hpp"
 #include "uarch/branch_predictor.hpp"
@@ -131,6 +131,45 @@ void apply_environment(CounterSample& sample,
                        const std::array<EnvironmentSpec, kNumEvents>& specs,
                        util::Rng& rng);
 
+/// First-touch page numbering behind address normalisation: the n-th
+/// distinct page looked up since the last clear() gets frame n.  A flat
+/// open-addressed table whose storage survives clear(), so a cold start
+/// does not allocate once the table has grown to the workload's page
+/// count.  A one-entry memo of the last page looked up sits in front of
+/// the table; it only ever holds an entry already in the table, and
+/// clear() drops it together with the table.
+class FirstTouchPages {
+ public:
+  FirstTouchPages();
+
+  /// Frame of `page`, assigning the next free frame on first touch.
+  std::uintptr_t frame_of(std::uintptr_t page) {
+    if (page != memo_page_) {
+      memo_frame_ = lookup_or_insert(page);
+      memo_page_ = page;
+    }
+    return memo_frame_;
+  }
+
+  bool empty() const { return size_ == 0; }
+  void clear();
+
+ private:
+  static constexpr std::uintptr_t kNoPage = ~std::uintptr_t{0};
+  struct Slot {
+    std::uintptr_t page = kNoPage;
+    std::uintptr_t frame = 0;
+  };
+
+  std::uintptr_t lookup_or_insert(std::uintptr_t page);
+  void grow();
+
+  std::vector<Slot> slots_;  // size is a power of two, at most half full
+  std::size_t size_ = 0;
+  std::uintptr_t memo_page_ = kNoPage;
+  std::uintptr_t memo_frame_ = 0;
+};
+
 class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
  public:
   explicit SimulatedPmu(SimulatedPmuConfig config = {});
@@ -207,8 +246,7 @@ class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
   /// normalized measurement: the addresses already are the normalized
   /// form, so normalize() passes them through untouched.
   bool trusted_canonical_ = false;
-  std::unordered_map<std::uintptr_t, std::uintptr_t> page_frames_;
-  std::uintptr_t next_frame_ = 0;
+  FirstTouchPages page_frames_;
   std::size_t accesses_since_pollution_ = 0;
 
   // Counts accumulated during the active measurement.

@@ -20,14 +20,6 @@ std::size_t mix_pc(std::uintptr_t pc) {
 }
 }  // namespace
 
-void BranchPredictor::resolve(std::uintptr_t pc, bool taken) {
-  const bool predicted = predict(pc);
-  ++stats_.branches;
-  if (taken) ++stats_.taken;
-  if (predicted != taken) ++stats_.mispredicts;
-  update(pc, taken);
-}
-
 BimodalPredictor::BimodalPredictor(std::size_t table_bits) {
   if (table_bits == 0 || table_bits > 24)
     throw InvalidArgument("BimodalPredictor: table_bits out of range");
@@ -35,17 +27,11 @@ BimodalPredictor::BimodalPredictor(std::size_t table_bits) {
   mask_ = table_.size() - 1;
 }
 
-std::size_t BimodalPredictor::index(std::uintptr_t pc) const {
-  return mix_pc(pc) & mask_;
-}
-
-bool BimodalPredictor::predict(std::uintptr_t pc) {
-  return counter_predicts_taken(table_[index(pc)]);
-}
-
-void BimodalPredictor::update(std::uintptr_t pc, bool taken) {
-  auto& c = table_[index(pc)];
+bool BimodalPredictor::predict_and_train(std::uintptr_t pc, bool taken) {
+  auto& c = table_[mix_pc(pc) & mask_];
+  const bool predicted = counter_predicts_taken(c);
   c = counter_update(c, taken);
+  return predicted;
 }
 
 void BimodalPredictor::flush() {
@@ -65,18 +51,12 @@ GSharePredictor::GSharePredictor(std::size_t table_bits,
                       : ((std::uint64_t{1} << history_bits) - 1);
 }
 
-std::size_t GSharePredictor::index(std::uintptr_t pc) const {
-  return (mix_pc(pc) ^ static_cast<std::size_t>(history_)) & mask_;
-}
-
-bool GSharePredictor::predict(std::uintptr_t pc) {
-  return counter_predicts_taken(table_[index(pc)]);
-}
-
-void GSharePredictor::update(std::uintptr_t pc, bool taken) {
-  auto& c = table_[index(pc)];
+bool GSharePredictor::predict_and_train(std::uintptr_t pc, bool taken) {
+  auto& c = table_[(mix_pc(pc) ^ static_cast<std::size_t>(history_)) & mask_];
+  const bool predicted = counter_predicts_taken(c);
   c = counter_update(c, taken);
   history_ = ((history_ << 1) | (taken ? 1u : 0u)) & history_mask_;
+  return predicted;
 }
 
 void GSharePredictor::flush() {
@@ -98,18 +78,15 @@ TwoLevelLocalPredictor::TwoLevelLocalPredictor(std::size_t history_table_bits,
       static_cast<std::uint16_t>((std::size_t{1} << history_bits) - 1);
 }
 
-bool TwoLevelLocalPredictor::predict(std::uintptr_t pc) {
-  const std::uint16_t hist =
-      histories_[mix_pc(pc) & history_mask_entries_];
-  return counter_predicts_taken(counters_[hist]);
-}
-
-void TwoLevelLocalPredictor::update(std::uintptr_t pc, bool taken) {
+bool TwoLevelLocalPredictor::predict_and_train(std::uintptr_t pc,
+                                               bool taken) {
   std::uint16_t& hist = histories_[mix_pc(pc) & history_mask_entries_];
   auto& c = counters_[hist];
+  const bool predicted = counter_predicts_taken(c);
   c = counter_update(c, taken);
   hist = static_cast<std::uint16_t>(((hist << 1) | (taken ? 1 : 0)) &
                                     history_value_mask_);
+  return predicted;
 }
 
 void TwoLevelLocalPredictor::flush() {

@@ -32,7 +32,12 @@ class BranchPredictor {
 
   /// Record the resolution of a conditional branch; updates internal state
   /// and the stats counters.
-  void resolve(std::uintptr_t pc, bool taken);
+  void resolve(std::uintptr_t pc, bool taken) {
+    const bool predicted = predict_and_train(pc, taken);
+    ++stats_.branches;
+    if (taken) ++stats_.taken;
+    if (predicted != taken) ++stats_.mispredicts;
+  }
 
   const BranchStats& stats() const { return stats_; }
   void reset_stats() { stats_ = BranchStats{}; }
@@ -41,8 +46,9 @@ class BranchPredictor {
   virtual std::string name() const = 0;
 
  protected:
-  virtual bool predict(std::uintptr_t pc) = 0;
-  virtual void update(std::uintptr_t pc, bool taken) = 0;
+  /// Predict the branch at `pc`, then train on its outcome; returns the
+  /// prediction made before training.  One virtual call per branch.
+  virtual bool predict_and_train(std::uintptr_t pc, bool taken) = 0;
 
  private:
   BranchStats stats_;
@@ -55,8 +61,7 @@ class StaticTakenPredictor final : public BranchPredictor {
   std::string name() const override { return "static-taken"; }
 
  protected:
-  bool predict(std::uintptr_t) override { return true; }
-  void update(std::uintptr_t, bool) override {}
+  bool predict_and_train(std::uintptr_t, bool) override { return true; }
 };
 
 /// Per-PC table of 2-bit saturating counters.
@@ -67,11 +72,9 @@ class BimodalPredictor final : public BranchPredictor {
   std::string name() const override { return "bimodal"; }
 
  protected:
-  bool predict(std::uintptr_t pc) override;
-  void update(std::uintptr_t pc, bool taken) override;
+  bool predict_and_train(std::uintptr_t pc, bool taken) override;
 
  private:
-  std::size_t index(std::uintptr_t pc) const;
   std::vector<std::uint8_t> table_;
   std::size_t mask_;
 };
@@ -85,11 +88,9 @@ class GSharePredictor final : public BranchPredictor {
   std::string name() const override { return "gshare"; }
 
  protected:
-  bool predict(std::uintptr_t pc) override;
-  void update(std::uintptr_t pc, bool taken) override;
+  bool predict_and_train(std::uintptr_t pc, bool taken) override;
 
  private:
-  std::size_t index(std::uintptr_t pc) const;
   std::vector<std::uint8_t> table_;
   std::size_t mask_;
   std::uint64_t history_ = 0;
@@ -105,8 +106,7 @@ class TwoLevelLocalPredictor final : public BranchPredictor {
   std::string name() const override { return "two-level-local"; }
 
  protected:
-  bool predict(std::uintptr_t pc) override;
-  void update(std::uintptr_t pc, bool taken) override;
+  bool predict_and_train(std::uintptr_t pc, bool taken) override;
 
  private:
   std::vector<std::uint16_t> histories_;

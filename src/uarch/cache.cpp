@@ -1,5 +1,7 @@
 #include "uarch/cache.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace sce::uarch {
@@ -38,55 +40,39 @@ CacheLevel::CacheLevel(CacheConfig config, std::uint64_t rng_seed)
     throw InvalidArgument("CacheLevel: number of sets must be a power of two");
   if (config_.associativity > 64)
     throw InvalidArgument("CacheLevel: associativity > 64 unsupported");
-  ways_.assign(sets * config_.associativity, Way{});
+  line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
+  set_mask_ = sets - 1;
+  assoc_ = config_.associativity;
+  ways_.assign(sets * assoc_, Way{});
+  mru_.assign(sets, 0);
   plru_.assign(sets, 0);
-}
-
-std::uintptr_t CacheLevel::line_of(std::uintptr_t address) const {
-  return address / config_.line_bytes;
-}
-
-std::size_t CacheLevel::set_of(std::uintptr_t line) const {
-  return static_cast<std::size_t>(line) & (config_.num_sets() - 1);
-}
-
-void CacheLevel::touch(std::size_t set, std::size_t way) {
-  Way& w = ways_[set * config_.associativity + way];
-  switch (config_.policy) {
-    case ReplacementPolicy::kLru:
-      w.lru_stamp = ++tick_;
-      break;
-    case ReplacementPolicy::kFifo:
-      // FIFO does not update on hit; the stamp is set at install time.
-      break;
-    case ReplacementPolicy::kTreePlru: {
-      // Walk the tree from root to this way, pointing each node away from
-      // the path taken (the classic PLRU promotion).
-      std::uint64_t& bits = plru_[set];
-      std::size_t node = 0;
-      std::size_t lo = 0;
-      std::size_t hi = config_.associativity;
-      while (hi - lo > 1) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (way < mid) {
-          bits |= (std::uint64_t{1} << node);  // point right (away)
-          hi = mid;
-          node = 2 * node + 1;
-        } else {
-          bits &= ~(std::uint64_t{1} << node);  // point left (away)
-          lo = mid;
-          node = 2 * node + 2;
-        }
+  // Tree-PLRU promotion of `way`: walk from the root to the leaf, pointing
+  // each node away from the path taken (bit set = right, i.e. the left
+  // half was used more recently).  The walk depends only on the way, so
+  // record which bits it sets and clears once.
+  plru_set_.assign(assoc_, 0);
+  plru_clear_.assign(assoc_, 0);
+  for (std::size_t way = 0; way < assoc_; ++way) {
+    std::size_t node = 0;
+    std::size_t lo = 0;
+    std::size_t hi = assoc_;
+    while (hi - lo > 1) {
+      const std::size_t mid = (lo + hi) / 2;
+      if (way < mid) {
+        plru_set_[way] |= std::uint64_t{1} << node;
+        hi = mid;
+        node = 2 * node + 1;
+      } else {
+        plru_clear_[way] |= std::uint64_t{1} << node;
+        lo = mid;
+        node = 2 * node + 2;
       }
-      break;
     }
-    case ReplacementPolicy::kRandom:
-      break;
   }
 }
 
 std::size_t CacheLevel::choose_victim(std::size_t set) {
-  const std::size_t assoc = config_.associativity;
+  const std::size_t assoc = assoc_;
   Way* base = &ways_[set * assoc];
   // Prefer an invalid way regardless of policy.
   for (std::size_t i = 0; i < assoc; ++i)
@@ -125,13 +111,10 @@ std::size_t CacheLevel::choose_victim(std::size_t set) {
   return 0;
 }
 
-bool CacheLevel::access(std::uintptr_t address, bool is_write) {
-  ++stats_.accesses;
-  const std::uintptr_t line = line_of(address);
-  const std::size_t set = set_of(line);
-  const std::size_t assoc = config_.associativity;
-  Way* base = &ways_[set * assoc];
-  for (std::size_t i = 0; i < assoc; ++i) {
+bool CacheLevel::access_after_probe(std::size_t set, std::uintptr_t line,
+                                    bool is_write) {
+  Way* base = &ways_[set * assoc_];
+  for (std::size_t i = 0; i < assoc_; ++i) {
     if (base[i].valid && base[i].tag == line) {
       ++stats_.hits;
       if (is_write) base[i].dirty = true;
@@ -155,10 +138,10 @@ bool CacheLevel::access(std::uintptr_t address, bool is_write) {
 }
 
 bool CacheLevel::contains(std::uintptr_t address) const {
-  const std::uintptr_t line = line_of(address);
-  const std::size_t set = set_of(line);
-  const Way* base = &ways_[set * config_.associativity];
-  for (std::size_t i = 0; i < config_.associativity; ++i)
+  const std::uintptr_t line = address >> line_shift_;
+  const std::size_t set = static_cast<std::size_t>(line) & set_mask_;
+  const Way* base = &ways_[set * assoc_];
+  for (std::size_t i = 0; i < assoc_; ++i)
     if (base[i].valid && base[i].tag == line) return true;
   return false;
 }
@@ -171,15 +154,14 @@ void CacheLevel::flush() {
 void CacheLevel::evict_random_line(util::Rng& rng) {
   // Pick a random set/way outside the protected partition; if valid,
   // invalidate it (models a co-tenant displacing a line).
-  if (config_.protected_ways >= config_.associativity) return;
-  const std::size_t sets = config_.num_sets();
-  const std::size_t unprotected =
-      config_.associativity - config_.protected_ways;
+  if (config_.protected_ways >= assoc_) return;
+  const std::size_t sets = set_mask_ + 1;
+  const std::size_t unprotected = assoc_ - config_.protected_ways;
   const std::size_t set = static_cast<std::size_t>(rng.below(sets));
   const std::size_t way =
       config_.protected_ways +
       static_cast<std::size_t>(rng.below(unprotected));
-  Way& w = ways_[set * config_.associativity + way];
+  Way& w = ways_[set * assoc_ + way];
   if (w.valid) {
     w = Way{};
   }

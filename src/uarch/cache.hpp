@@ -71,7 +71,22 @@ class CacheLevel {
   /// to line granularity is not required; any byte address works).
   /// Returns true on hit.  On miss the line is installed, possibly
   /// evicting another.
-  bool access(std::uintptr_t address, bool is_write);
+  bool access(std::uintptr_t address, bool is_write) {
+    ++stats_.accesses;
+    const std::uintptr_t line = address >> line_shift_;
+    const std::size_t set = static_cast<std::size_t>(line) & set_mask_;
+    // Tags are unique within a set, so probing the set's MRU way first
+    // changes only how soon the hit is found, never which way hits.
+    const std::size_t hint = mru_[set];
+    Way& w = ways_[set * assoc_ + hint];
+    if (w.valid && w.tag == line) {
+      ++stats_.hits;
+      if (is_write) w.dirty = true;
+      touch(set, hint);
+      return true;
+    }
+    return access_after_probe(set, line, is_write);
+  }
 
   /// Probe without updating state or stats (for tests/inspection).
   bool contains(std::uintptr_t address) const;
@@ -93,15 +108,41 @@ class CacheLevel {
     std::uint64_t lru_stamp = 0;   // for kLru / kFifo
   };
 
-  std::uintptr_t line_of(std::uintptr_t address) const;
-  std::size_t set_of(std::uintptr_t line) const;
+  /// The rest of access() once the MRU probe missed: scan the set, and on
+  /// a miss install the line over a victim.
+  bool access_after_probe(std::size_t set, std::uintptr_t line,
+                          bool is_write);
   std::size_t choose_victim(std::size_t set);
-  void touch(std::size_t set, std::size_t way);
+
+  /// Replacement-state update for a hit on or an install into `way`.
+  void touch(std::size_t set, std::size_t way) {
+    mru_[set] = static_cast<std::uint8_t>(way);
+    switch (config_.policy) {
+      case ReplacementPolicy::kLru:
+        ways_[set * assoc_ + way].lru_stamp = ++tick_;
+        break;
+      case ReplacementPolicy::kTreePlru:
+        // The classic promotion walk from the root points every node on
+        // the path away from `way`; plru_set_/plru_clear_ hold the bits
+        // that walk sets and clears.
+        plru_[set] = (plru_[set] | plru_set_[way]) & ~plru_clear_[way];
+        break;
+      case ReplacementPolicy::kFifo:    // stamped at install time only
+      case ReplacementPolicy::kRandom:
+        break;
+    }
+  }
 
   CacheConfig config_;
   CacheStats stats_;
+  unsigned line_shift_ = 0;            // log2(line_bytes)
+  std::size_t set_mask_ = 0;           // num_sets - 1
+  std::size_t assoc_ = 0;
   std::vector<Way> ways_;              // num_sets * associativity
+  std::vector<std::uint8_t> mru_;      // per set: the way touched last
   std::vector<std::uint64_t> plru_;    // one PLRU tree bitmask per set
+  std::vector<std::uint64_t> plru_set_;    // per way: promotion's set bits
+  std::vector<std::uint64_t> plru_clear_;  // per way: its cleared bits
   std::uint64_t tick_ = 0;
   util::Rng rng_;
 };

@@ -14,6 +14,7 @@
 #include "uarch/cache.hpp"
 #include "uarch/prefetcher.hpp"
 #include "uarch/tlb.hpp"
+#include "util/error.hpp"
 
 namespace sce::uarch {
 
@@ -71,10 +72,28 @@ class MemoryHierarchy {
 
   const HierarchyConfig& config() const { return config_; }
 
-  /// Perform a data access covering [addr, addr + bytes).
-  AccessResult access(std::uintptr_t addr, std::size_t bytes, bool is_write);
+  /// Perform a data access covering [addr, addr + bytes).  The TLB and
+  /// L1D hit path is defined here so callers can inline it; an L1D miss
+  /// continues out of line in miss_below_l1().
+  AccessResult access(std::uintptr_t addr, std::size_t bytes, bool is_write) {
+    if (bytes == 0)
+      throw InvalidArgument("MemoryHierarchy::access: zero bytes");
+    const std::uintptr_t first = addr >> line_shift_;
+    const std::uintptr_t last = (addr + bytes - 1) >> line_shift_;
+    AccessResult total;
+    for (std::uintptr_t l = first; l <= last; ++l) {
+      const std::uintptr_t line_addr = l << line_shift_;
+      ++total.lines_touched;
+      if (config_.enable_tlb && !tlb_.access(line_addr))
+        total.cycles += config_.tlb_miss_cycles;
+      total.cycles += l1d_.access(line_addr, is_write)
+                          ? config_.l1_hit_cycles
+                          : miss_below_l1(line_addr, is_write);
+    }
+    return total;
+  }
 
-  const CacheStats& l1d_stats() const { return l1d_->stats(); }
+  const CacheStats& l1d_stats() const { return l1d_.stats(); }
   const CacheStats& l2_stats() const;
   const CacheStats& llc_stats() const;
   const TlbStats& tlb_stats() const { return tlb_.stats(); }
@@ -82,7 +101,7 @@ class MemoryHierarchy {
     return stride_prefetcher_.stats();
   }
 
-  CacheLevel& l1d() { return *l1d_; }
+  CacheLevel& l1d() { return l1d_; }
   CacheLevel* l2() { return l2_.get(); }
   CacheLevel* llc() { return llc_.get(); }
 
@@ -100,14 +119,20 @@ class MemoryHierarchy {
   void reset_stats();
 
  private:
-  AccessResult access_line(std::uintptr_t line_addr, bool is_write);
+  /// Latency of a line that missed L1D: run the prefetchers, then look it
+  /// up in L2, the LLC and memory.
+  std::uint64_t miss_below_l1(std::uintptr_t line_addr, bool is_write);
 
   HierarchyConfig config_;
-  std::unique_ptr<CacheLevel> l1d_;
+  unsigned line_shift_ = 0;  // log2(l1d.line_bytes)
+  CacheLevel l1d_;
   std::unique_ptr<CacheLevel> l2_;
   std::unique_ptr<CacheLevel> llc_;
   Tlb tlb_;
   StridePrefetcher stride_prefetcher_;
+  /// The stride prefetcher's targets for the current miss; reused so a
+  /// miss never allocates.
+  std::vector<std::uintptr_t> prefetch_targets_;
   CacheStats empty_stats_{};
 };
 

@@ -1,5 +1,6 @@
 #include "uarch/prefetcher.hpp"
 
+#include <bit>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -13,15 +14,16 @@ StridePrefetcher::StridePrefetcher(PrefetcherConfig config)
   if (config_.line_bytes == 0 ||
       (config_.line_bytes & (config_.line_bytes - 1)) != 0)
     throw InvalidArgument("StridePrefetcher: line size must be power of two");
+  line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
   streams_.assign(config_.streams, Stream{});
 }
 
-std::vector<std::uintptr_t> StridePrefetcher::observe_miss(
-    std::uintptr_t address) {
+void StridePrefetcher::observe_miss(std::uintptr_t address,
+                                    std::vector<std::uintptr_t>& targets) {
+  targets.clear();
   ++stats_.trained;
   ++tick_;
-  const std::uintptr_t line =
-      address / config_.line_bytes;
+  const std::uintptr_t line = address >> line_shift_;
 
   // Find the stream whose extrapolation this miss continues: either one
   // line after its last access, or matching its learned stride.
@@ -38,7 +40,6 @@ std::vector<std::uintptr_t> StridePrefetcher::observe_miss(
     }
   }
 
-  std::vector<std::uintptr_t> prefetches;
   if (match != nullptr) {
     const std::intptr_t delta = static_cast<std::intptr_t>(line) -
                                 static_cast<std::intptr_t>(match->last_line);
@@ -56,12 +57,12 @@ std::vector<std::uintptr_t> StridePrefetcher::observe_miss(
             static_cast<std::intptr_t>(line) +
             match->stride * static_cast<std::intptr_t>(k);
         if (target <= 0) continue;
-        prefetches.push_back(static_cast<std::uintptr_t>(target) *
-                             config_.line_bytes);
+        targets.push_back(static_cast<std::uintptr_t>(target)
+                          << line_shift_);
       }
-      stats_.issued += prefetches.size();
+      stats_.issued += targets.size();
     }
-    return prefetches;
+    return;
   }
 
   // Allocate a stream (LRU victim) to start tracking this address.
@@ -74,7 +75,6 @@ std::vector<std::uintptr_t> StridePrefetcher::observe_miss(
     if (s.last_used < victim->last_used) victim = &s;
   }
   *victim = Stream{line, 0, 0, true, tick_};
-  return prefetches;
 }
 
 void StridePrefetcher::flush() {

@@ -40,9 +40,12 @@ class StridePrefetcher {
  public:
   explicit StridePrefetcher(PrefetcherConfig config = {});
 
-  /// Observe a demand miss at `address`; returns the line-aligned
-  /// addresses to prefetch (empty while the stream is still training).
-  std::vector<std::uintptr_t> observe_miss(std::uintptr_t address);
+  /// Observe a demand miss at `address`; replaces the contents of
+  /// `targets` with the line-aligned addresses to prefetch (none while
+  /// the stream is still training).  Callers keep one buffer across
+  /// calls, so a steady stream of misses does not allocate.
+  void observe_miss(std::uintptr_t address,
+                    std::vector<std::uintptr_t>& targets);
 
   const PrefetcherStats& stats() const { return stats_; }
   void flush();
@@ -59,6 +62,7 @@ class StridePrefetcher {
 
   PrefetcherConfig config_;
   PrefetcherStats stats_;
+  unsigned line_shift_ = 0;  // log2(line_bytes)
   std::vector<Stream> streams_;
   std::uint64_t tick_ = 0;
 };

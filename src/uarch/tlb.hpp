@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace sce::uarch {
 
 struct TlbConfig {
@@ -30,10 +28,23 @@ struct TlbStats {
 
 class Tlb {
  public:
-  explicit Tlb(TlbConfig config = {}, std::uint64_t rng_seed = 13);
+  explicit Tlb(TlbConfig config = {});
 
   /// Translate the page containing `address`; returns true on TLB hit.
-  bool access(std::uintptr_t address);
+  bool access(std::uintptr_t address) {
+    ++stats_.accesses;
+    const std::uintptr_t page = address >> page_shift_;
+    Entry* base =
+        &entries_[(static_cast<std::size_t>(page) & set_mask_) * assoc_];
+    for (std::size_t i = 0; i < assoc_; ++i) {
+      if (base[i].valid && base[i].page == page) {
+        ++stats_.hits;
+        base[i].stamp = ++tick_;
+        return true;
+      }
+    }
+    return install(base, page);
+  }
 
   const TlbStats& stats() const { return stats_; }
   const TlbConfig& config() const { return config_; }
@@ -48,11 +59,17 @@ class Tlb {
     std::uint64_t stamp = 0;
   };
 
+  /// Miss path: count the miss and install `page` over the set's LRU
+  /// entry.  Always returns false.
+  bool install(Entry* set, std::uintptr_t page);
+
   TlbConfig config_;
   TlbStats stats_;
+  unsigned page_shift_ = 0;   // log2(page_bytes)
+  std::size_t set_mask_ = 0;  // num_sets - 1
+  std::size_t assoc_ = 0;
   std::vector<Entry> entries_;
   std::uint64_t tick_ = 0;
-  std::size_t num_sets_ = 1;
 };
 
 }  // namespace sce::uarch

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "uarch/hierarchy.hpp"
 #include "util/error.hpp"
 
@@ -10,11 +12,15 @@ namespace {
 
 TEST(StridePrefetcher, TrainsBeforeIssuing) {
   StridePrefetcher pf;
-  // First two misses of a unit-stride stream: training only.
-  EXPECT_TRUE(pf.observe_miss(0x1000).empty());
-  EXPECT_TRUE(pf.observe_miss(0x1040).empty());  // stride learned (conf 1)
+  std::vector<std::uintptr_t> targets{0xDEAD};
+  // First two misses of a unit-stride stream: training only.  Each call
+  // replaces the buffer's contents.
+  pf.observe_miss(0x1000, targets);
+  EXPECT_TRUE(targets.empty());
+  pf.observe_miss(0x1040, targets);  // stride learned (conf 1)
+  EXPECT_TRUE(targets.empty());
   // Third miss confirms the stride: prefetches issue.
-  const auto targets = pf.observe_miss(0x1080);
+  pf.observe_miss(0x1080, targets);
   ASSERT_EQ(targets.size(), 2u);  // degree 2
   EXPECT_EQ(targets[0], 0x10C0u);
   EXPECT_EQ(targets[1], 0x1100u);
@@ -23,9 +29,10 @@ TEST(StridePrefetcher, TrainsBeforeIssuing) {
 
 TEST(StridePrefetcher, LearnsNonUnitStride) {
   StridePrefetcher pf;
-  pf.observe_miss(0x0);
-  pf.observe_miss(0x100);   // stride 4 lines
-  const auto targets = pf.observe_miss(0x200);
+  std::vector<std::uintptr_t> targets;
+  pf.observe_miss(0x0, targets);
+  pf.observe_miss(0x100, targets);   // stride 4 lines
+  pf.observe_miss(0x200, targets);
   ASSERT_EQ(targets.size(), 2u);
   EXPECT_EQ(targets[0], 0x300u);
   EXPECT_EQ(targets[1], 0x400u);
@@ -34,9 +41,12 @@ TEST(StridePrefetcher, LearnsNonUnitStride) {
 TEST(StridePrefetcher, RandomMissesStayQuiet) {
   StridePrefetcher pf;
   util::Rng rng(5);
+  std::vector<std::uintptr_t> targets;
   std::size_t issued = 0;
-  for (int i = 0; i < 200; ++i)
-    issued += pf.observe_miss(rng.below(1 << 20) * 64).size();
+  for (int i = 0; i < 200; ++i) {
+    pf.observe_miss(rng.below(1 << 20) * 64, targets);
+    issued += targets.size();
+  }
   // Random addresses rarely form confident streams.
   EXPECT_LT(issued, 20u);
 }
@@ -44,20 +54,25 @@ TEST(StridePrefetcher, RandomMissesStayQuiet) {
 TEST(StridePrefetcher, TracksMultipleStreams) {
   StridePrefetcher pf;
   // Two interleaved unit-stride streams far apart.
+  std::vector<std::uintptr_t> targets;
   std::size_t issued = 0;
   for (std::uintptr_t i = 0; i < 6; ++i) {
-    issued += pf.observe_miss(0x10000 + i * 64).size();
-    issued += pf.observe_miss(0x90000 + i * 64).size();
+    pf.observe_miss(0x10000 + i * 64, targets);
+    issued += targets.size();
+    pf.observe_miss(0x90000 + i * 64, targets);
+    issued += targets.size();
   }
   EXPECT_GE(issued, 8u);  // both streams reach confidence and stream on
 }
 
 TEST(StridePrefetcher, FlushForgetsStreams) {
   StridePrefetcher pf;
-  pf.observe_miss(0x1000);
-  pf.observe_miss(0x1040);
+  std::vector<std::uintptr_t> targets;
+  pf.observe_miss(0x1000, targets);
+  pf.observe_miss(0x1040, targets);
   pf.flush();
-  EXPECT_TRUE(pf.observe_miss(0x1080).empty());  // training restarts
+  pf.observe_miss(0x1080, targets);
+  EXPECT_TRUE(targets.empty());  // training restarts
 }
 
 TEST(StridePrefetcher, ConfigValidation) {
