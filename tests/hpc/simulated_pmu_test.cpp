@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "data/synthetic.hpp"
+#include "nn/model.hpp"
+#include "nn/plan.hpp"
+#include "nn/zoo.hpp"
+#include "util/alloc_hook.hpp"
 #include "util/error.hpp"
 
 namespace sce::hpc {
@@ -212,6 +218,45 @@ TEST(SimulatedPmu, WorkloadCountsExcludeEnvironment) {
   EXPECT_EQ(workload[HpcEvent::kInstructions], 143u);
   EXPECT_GT(read[HpcEvent::kInstructions],
             workload[HpcEvent::kInstructions]);
+}
+
+TEST(SimulatedPmu, SteadyStateMeasurementsAreAllocationFree) {
+  // The campaign's hot loop: one planned MNIST classification per keyed,
+  // cold-started measurement.  After the first measurement has sized the
+  // page table, nothing in the simulated machine may touch the heap —
+  // not the first-touch page map, and not the stride prefetcher.
+  data::SyntheticConfig data_cfg;
+  data_cfg.examples_per_class = 2;
+  data_cfg.num_classes = 2;
+  const data::Dataset ds = data::make_mnist_like(data_cfg);
+  nn::Sequential model = nn::build_mnist_cnn();
+  util::Rng rng(21);
+  model.initialize(rng);
+  nn::Tensor staged;
+  nn::image_to_tensor_into(ds[0].image, staged);
+  nn::InferencePlan plan = model.plan(staged.shape());
+
+  SimulatedPmuConfig stride;
+  stride.hierarchy.enable_stride_prefetch = true;
+  const std::pair<const char*, SimulatedPmuConfig> configs[] = {
+      {"default", SimulatedPmuConfig{}}, {"stride prefetch", stride}};
+  for (const auto& [name, config] : configs) {
+    SCOPED_TRACE(name);
+    SimulatedPmu pmu(config);
+    auto measure = [&](std::uint64_t key) {
+      nn::image_to_tensor_into(ds[key % ds.size()].image, staged);
+      (void)pmu.set_measurement_key(key);
+      pmu.start();
+      (void)plan.run(staged, pmu.sink(), nn::KernelMode::kDataDependent);
+      pmu.stop();
+      return pmu.read();
+    };
+    (void)measure(0);
+    const util::AllocationCounter guard;
+    for (std::uint64_t key = 1; key <= 4; ++key) (void)measure(key);
+    EXPECT_EQ(guard.allocations(), 0u);
+    EXPECT_GT(pmu.hierarchy().l1d_stats().accesses, 0u);
+  }
 }
 
 TEST(CounterSample, PerfStatRendering) {

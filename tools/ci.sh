@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Full CI pipeline: configure, build, lint (clang-tidy on changed files +
 # the static leakage linter cross-checked against the trace oracle),
-# tier-1 tests, then the same suite under AddressSanitizer + UBSan, then
-# the concurrency tests under ThreadSanitizer — each sanitizer in its own
-# build tree.
+# tier-1 tests, the time-to-verdict benchmark's own build and self-tests
+# (tree build-ci-perf), then the same suite under AddressSanitizer +
+# UBSan, then the concurrency tests under ThreadSanitizer — each
+# sanitizer in its own build tree.
 #
 #   tools/ci.sh [build-dir]
 #
@@ -133,6 +134,16 @@ echo "==> bench: fast-vs-scalar inference speedups"
 # planned-fast per model, plus conv/dense hot-loop scalar-vs-fast
 # timings) as the CI artifact backing the fast kernels' speedup claims.
 "$BUILD_DIR/bench/micro_kernels" --benchmark_filter=DoNotRunMicrobenches
+
+echo "==> bench: time-to-verdict benchmark builds and self-tests"
+# bench/perf is a standalone CMake project that compiles ../../src itself,
+# so nothing above builds it.  Build it into its own tree and run that
+# tree's ctest: bench_perf_smoke (every workload's traced pass and
+# correctness checks on a tiny budget) and bench_compare_selftest.
+PERF_DIR="${BUILD_DIR}-perf"
+cmake -S "$SRC_DIR/bench/perf" -B "$PERF_DIR"
+cmake --build "$PERF_DIR" -j "$JOBS"
+ctest --test-dir "$PERF_DIR" --output-on-failure
 
 if [ "${SCE_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   echo "==> SCE_CI_SKIP_SANITIZERS=1: skipping sanitized passes"
