@@ -6,10 +6,12 @@ namespace sce::uarch {
 
 namespace {
 // 2-bit saturating counter helpers: 0,1 predict not-taken; 2,3 taken.
+// The outcome is data-dependent, so the update is a table lookup rather
+// than a branch on it.
 bool counter_predicts_taken(std::uint8_t c) { return c >= 2; }
+constexpr std::uint8_t kCounterNext[2][4] = {{0, 0, 1, 2}, {1, 2, 3, 3}};
 std::uint8_t counter_update(std::uint8_t c, bool taken) {
-  if (taken) return c < 3 ? static_cast<std::uint8_t>(c + 1) : c;
-  return c > 0 ? static_cast<std::uint8_t>(c - 1) : c;
+  return kCounterNext[taken ? 1 : 0][c];
 }
 // Mix the low bits of a pseudo-PC (they are addresses of statics, so the
 // low bits are poorly distributed without mixing).

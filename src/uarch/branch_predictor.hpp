@@ -35,8 +35,8 @@ class BranchPredictor {
   void resolve(std::uintptr_t pc, bool taken) {
     const bool predicted = predict_and_train(pc, taken);
     ++stats_.branches;
-    if (taken) ++stats_.taken;
-    if (predicted != taken) ++stats_.mispredicts;
+    stats_.taken += taken ? 1 : 0;
+    stats_.mispredicts += predicted != taken ? 1 : 0;
   }
 
   const BranchStats& stats() const { return stats_; }
