@@ -181,8 +181,8 @@ std::uintptr_t SimulatedPmu::normalize(const void* addr) {
   const auto raw = reinterpret_cast<std::uintptr_t>(addr);
   if (trusted_canonical_) return raw;  // replay already normalized
   if (!config_.normalize_addresses) return raw;
-  return kNormalizedBase + (page_frames_.frame_of(raw >> kPageBits) << kPageBits) +
-         (raw & kPageOffsetMask);
+  const std::uintptr_t frame = page_frames_.frame_of(raw >> kPageBits);
+  return kNormalizedBase + (frame << kPageBits) + (raw & kPageOffsetMask);
 }
 
 void SimulatedPmu::data_access(const void* addr, std::size_t bytes,

@@ -22,15 +22,14 @@ Tlb::Tlb(TlbConfig config) : config_(config) {
     throw InvalidArgument("Tlb: set count must be a power of two");
   page_shift_ = static_cast<unsigned>(std::countr_zero(config_.page_bytes));
   set_mask_ = sets - 1;
-  assoc_ = config_.associativity;
   entries_.assign(config_.entries, Entry{});
 }
 
-bool Tlb::install(Entry* set, std::uintptr_t page) {
+void Tlb::install(Entry* set, std::uintptr_t page) {
   ++stats_.misses;
   // LRU replacement within the set; invalid entries first.
   std::size_t victim = 0;
-  for (std::size_t i = 0; i < assoc_; ++i) {
+  for (std::size_t i = 0; i < config_.associativity; ++i) {
     if (!set[i].valid) {
       victim = i;
       break;
@@ -38,7 +37,6 @@ bool Tlb::install(Entry* set, std::uintptr_t page) {
     if (set[i].stamp < set[victim].stamp) victim = i;
   }
   set[victim] = Entry{page, true, ++tick_};
-  return false;
 }
 
 void Tlb::flush() {

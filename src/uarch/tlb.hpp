@@ -35,15 +35,17 @@ class Tlb {
     ++stats_.accesses;
     const std::uintptr_t page = address >> page_shift_;
     Entry* base =
-        &entries_[(static_cast<std::size_t>(page) & set_mask_) * assoc_];
-    for (std::size_t i = 0; i < assoc_; ++i) {
+        &entries_[(static_cast<std::size_t>(page) & set_mask_) *
+                  config_.associativity];
+    for (std::size_t i = 0; i < config_.associativity; ++i) {
       if (base[i].valid && base[i].page == page) {
         ++stats_.hits;
         base[i].stamp = ++tick_;
         return true;
       }
     }
-    return install(base, page);
+    install(base, page);
+    return false;
   }
 
   const TlbStats& stats() const { return stats_; }
@@ -60,14 +62,13 @@ class Tlb {
   };
 
   /// Miss path: count the miss and install `page` over the set's LRU
-  /// entry.  Always returns false.
-  bool install(Entry* set, std::uintptr_t page);
+  /// entry.
+  void install(Entry* set, std::uintptr_t page);
 
   TlbConfig config_;
   TlbStats stats_;
   unsigned page_shift_ = 0;   // log2(page_bytes)
   std::size_t set_mask_ = 0;  // num_sets - 1
-  std::size_t assoc_ = 0;
   std::vector<Entry> entries_;
   std::uint64_t tick_ = 0;
 };

@@ -204,7 +204,9 @@ TEST(PinnedCounts, HierarchyUnusualGeometries) {
   odd.stride_prefetcher.degree = 3;
   odd.tlb = {32, 2, 4096};
   MemoryHierarchy odd_h(odd, 5);
-  EXPECT_EQ(hierarchy_digest(odd_h, 21), "fcf0a67f2b00b6fea64ebc5612e82454") << "odd geometry";
+  EXPECT_EQ(hierarchy_digest(odd_h, 21),
+            "fcf0a67f2b00b6fea64ebc5612e82454")
+      << "odd geometry";
 
   // L1 alone: no lower level, no TLB; last-level counts come from L1.
   HierarchyConfig l1_only;
@@ -214,7 +216,9 @@ TEST(PinnedCounts, HierarchyUnusualGeometries) {
   l1_only.enable_tlb = false;
   l1_only.enable_next_line_prefetch = true;
   MemoryHierarchy l1_h(l1_only, 6);
-  EXPECT_EQ(hierarchy_digest(l1_h, 22), "6592986f3a20694f40f2b57c36a8ecdd") << "l1 only";
+  EXPECT_EQ(hierarchy_digest(l1_h, 22),
+            "6592986f3a20694f40f2b57c36a8ecdd")
+      << "l1 only";
 }
 
 /// Seeded branch stream over 48 sites with four behaviours: biased,
@@ -286,13 +290,21 @@ TEST(PinnedCounts, BranchPredictors) {
   }
   // Small tables, so sites alias.
   BimodalPredictor bimodal(4);
-  EXPECT_EQ(predictor_digest(bimodal, 32), "617f77fc08b13ddad1600109247348c0") << "bimodal(4)";
+  EXPECT_EQ(predictor_digest(bimodal, 32),
+            "617f77fc08b13ddad1600109247348c0")
+      << "bimodal(4)";
   GSharePredictor gshare(8, 6);
-  EXPECT_EQ(predictor_digest(gshare, 33), "9056e2228917f466ce50698dd5d12938") << "gshare(8, 6)";
+  EXPECT_EQ(predictor_digest(gshare, 33),
+            "9056e2228917f466ce50698dd5d12938")
+      << "gshare(8, 6)";
   GSharePredictor no_history(6, 0);
-  EXPECT_EQ(predictor_digest(no_history, 34), "2dd7cfd6866accf2d2d94fc8e536349c") << "gshare(6, 0)";
+  EXPECT_EQ(predictor_digest(no_history, 34),
+            "2dd7cfd6866accf2d2d94fc8e536349c")
+      << "gshare(6, 0)";
   TwoLevelLocalPredictor local(4, 3);
-  EXPECT_EQ(predictor_digest(local, 35), "ede0345c0784f93836db7aa4c4e854be") << "two-level-local(4, 3)";
+  EXPECT_EQ(predictor_digest(local, 35),
+            "ede0345c0784f93836db7aa4c4e854be")
+      << "two-level-local(4, 3)";
 }
 
 /// Six keyed measurements through the TraceSink interface.  The
@@ -348,22 +360,30 @@ TEST(PinnedCounts, SimulatedPmuMeasurements) {
   hpc::SimulatedPmuConfig warm;
   warm.cold_start_per_measurement = false;
   warm.pollution_period = 97;
-  EXPECT_EQ(pmu_digest(warm, 41), "3b8c21ce282597c5c23db02bbae599a7") << "warm, polluted";
+  EXPECT_EQ(pmu_digest(warm, 41),
+            "3b8c21ce282597c5c23db02bbae599a7")
+      << "warm, polluted";
 
   // The campaign default: cold start, normalised addresses.
-  EXPECT_EQ(pmu_digest(hpc::SimulatedPmuConfig{}, 42), "619110d69ecf7a2e5132f681024cd0cc") << "cold";
+  EXPECT_EQ(pmu_digest(hpc::SimulatedPmuConfig{}, 42),
+            "619110d69ecf7a2e5132f681024cd0cc")
+      << "cold";
 
   hpc::SimulatedPmuConfig stride;
   stride.hierarchy.enable_stride_prefetch = true;
   stride.pollution_period = 1000;
   stride.predictor = PredictorKind::kTwoLevelLocal;
-  EXPECT_EQ(pmu_digest(stride, 43), "03d7b53aeed509ad233ebd53fb556913") << "cold, stride prefetch";
+  EXPECT_EQ(pmu_digest(stride, 43),
+            "03d7b53aeed509ad233ebd53fb556913")
+      << "cold, stride prefetch";
 
   hpc::SimulatedPmuConfig raw;
   raw.cold_start_per_measurement = false;
   raw.normalize_addresses = false;
   raw.predictor = PredictorKind::kBimodal;
-  EXPECT_EQ(pmu_digest(raw, 44), "4470fce5bd04cab617171853e1caa9a0") << "warm, raw addresses";
+  EXPECT_EQ(pmu_digest(raw, 44),
+            "4470fce5bd04cab617171853e1caa9a0")
+      << "warm, raw addresses";
 }
 
 }  // namespace
