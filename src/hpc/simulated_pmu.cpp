@@ -29,10 +29,9 @@ FirstTouchPages::FirstTouchPages() : slots_(kInitialPageSlots) {}
 void FirstTouchPages::clear() {
   std::fill(slots_.begin(), slots_.end(), Slot{});
   size_ = 0;
-  memo_page_ = kNoPage;
 }
 
-std::uintptr_t FirstTouchPages::lookup_or_insert(std::uintptr_t page) {
+std::uintptr_t FirstTouchPages::frame_of(std::uintptr_t page) {
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t i = slot_hash(page, mask);; i = (i + 1) & mask) {
     Slot& slot = slots_[i];
@@ -40,7 +39,7 @@ std::uintptr_t FirstTouchPages::lookup_or_insert(std::uintptr_t page) {
     if (slot.page == kNoPage) {
       if (2 * (size_ + 1) > slots_.size()) {
         grow();
-        return lookup_or_insert(page);
+        return frame_of(page);
       }
       slot = Slot{page, size_++};
       return slot.frame;

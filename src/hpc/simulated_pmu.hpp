@@ -135,21 +135,13 @@ void apply_environment(CounterSample& sample,
 /// distinct page looked up since the last clear() gets frame n.  A flat
 /// open-addressed table whose storage survives clear(), so a cold start
 /// does not allocate once the table has grown to the workload's page
-/// count.  A one-entry memo of the last page looked up sits in front of
-/// the table; it only ever holds an entry already in the table, and
-/// clear() drops it together with the table.
+/// count.
 class FirstTouchPages {
  public:
   FirstTouchPages();
 
   /// Frame of `page`, assigning the next free frame on first touch.
-  std::uintptr_t frame_of(std::uintptr_t page) {
-    if (page != memo_page_) {
-      memo_frame_ = lookup_or_insert(page);
-      memo_page_ = page;
-    }
-    return memo_frame_;
-  }
+  std::uintptr_t frame_of(std::uintptr_t page);
 
   bool empty() const { return size_ == 0; }
   void clear();
@@ -161,13 +153,10 @@ class FirstTouchPages {
     std::uintptr_t frame = 0;
   };
 
-  std::uintptr_t lookup_or_insert(std::uintptr_t page);
   void grow();
 
   std::vector<Slot> slots_;  // size is a power of two, at most half full
   std::size_t size_ = 0;
-  std::uintptr_t memo_page_ = kNoPage;
-  std::uintptr_t memo_frame_ = 0;
 };
 
 class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
