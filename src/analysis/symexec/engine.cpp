@@ -1,11 +1,14 @@
 #include "analysis/symexec/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "nn/layer.hpp"
+#include "util/error.hpp"
 
 namespace sce::analysis::symexec {
 
+using nn::kernels::ArmRef;
 using nn::kernels::SymBuffer;
 using nn::kernels::SymSite;
 using nn::kernels::SymTaint;
@@ -37,32 +40,52 @@ SymBuffer SymbolicEngine::scratch_buffer(const char*, std::size_t numel) {
   return make_buffer(numel, SymTaint::kPublic);
 }
 
+namespace {
+
+[[noreturn]] void throw_out_of_bounds(std::size_t buffer, std::size_t index,
+                                      std::size_t size) {
+  throw InvalidArgument("symbolic model indexes buffer " +
+                        std::to_string(buffer) + " at element " +
+                        std::to_string(index) + ", outside its " +
+                        std::to_string(size) + " elements");
+}
+
+}  // namespace
+
+SymValue& SymbolicEngine::element(SymBuffer buffer, std::size_t index) {
+  if (buffer.id >= buffers_.size())
+    throw_out_of_bounds(buffer.id, index, 0);
+  std::vector<SymValue>& values = buffers_[buffer.id];
+  if (index >= values.size())
+    throw_out_of_bounds(buffer.id, index, values.size());
+  return values[index];
+}
+
 SymValue SymbolicEngine::guard_taint() const {
-  SymValue t;
-  for (const SymValue& g : guards_) t = join(t, g);
-  return t;
+  return guards_.empty() ? SymValue{} : guards_.back();
 }
 
 void SymbolicEngine::record_memory(MemEvent event) {
-  if (!frames_.empty()) frames_.back().memory.push_back(event);
+  if (!frames_.empty()) events_.push_back(event);
 }
 
 SymValue SymbolicEngine::load(SymBuffer buffer, std::size_t index) {
+  const SymValue v = element(buffer, index);
   record_memory({buffer.id, index, false});
-  return buffers_[buffer.id][index];
+  return v;
 }
 
 void SymbolicEngine::store(SymBuffer buffer, std::size_t index, SymValue v) {
-  record_memory({buffer.id, index, true});
   assign(buffer, index, v);
+  record_memory({buffer.id, index, true});
 }
 
 SymValue SymbolicEngine::value(SymBuffer buffer, std::size_t index) {
-  return buffers_[buffer.id][index];
+  return element(buffer, index);
 }
 
 void SymbolicEngine::assign(SymBuffer buffer, std::size_t index, SymValue v) {
-  SymValue& slot = buffers_[buffer.id][index];
+  SymValue& slot = element(buffer, index);
   if (guards_.empty()) {
     // Strong update: an unconditional write replaces the element's taint
     // outright — this is what lets a sanitizing layer clear secrecy.
@@ -85,8 +108,7 @@ void SymbolicEngine::structural_branches(std::uint64_t count) {
 
 void SymbolicEngine::branch(const SymSite& site, SymValue predicate) {
   if (!frames_.empty()) frames_.back().branch_events += 1;
-  const SymValue p = join(predicate, guard_taint());
-  if (p.secret()) {
+  if (!branch_outcomes_ && join(predicate, guard_taint()).secret()) {
     branch_outcomes_ = true;
     note("branch-outcomes", site,
          "emitted branch predicate depends on secret data");
@@ -94,36 +116,42 @@ void SymbolicEngine::branch(const SymSite& site, SymValue predicate) {
 }
 
 void SymbolicEngine::if_else(const SymSite& site, SymValue predicate,
-                             const std::function<void()>& then_arm,
-                             const std::function<void()>& else_arm) {
+                             ArmRef then_arm, ArmRef else_arm) {
   const SymValue p = join(predicate, guard_taint());
-  if (p.secret()) {
+  if (p.secret() && !branch_outcomes_) {
     branch_outcomes_ = true;
     note("branch-outcomes", site,
          "guarding branch predicate depends on secret data");
   }
 
+  // Both arms append to events_: the then-arm's accesses end where the
+  // else-arm's begin.
   guards_.push_back(p);
-  frames_.emplace_back();
+  frames_.push_back(Frame{events_.size()});
   then_arm();
-  Frame then_frame = std::move(frames_.back());
-  frames_.pop_back();
-  frames_.emplace_back();
+  const Frame then_frame = frames_.back();
+  frames_.back() = Frame{events_.size()};
   else_arm();
-  Frame else_frame = std::move(frames_.back());
+  const Frame else_frame = frames_.back();
   frames_.pop_back();
   guards_.pop_back();
 
   if (p.secret()) {
-    if (then_frame.memory != else_frame.memory) {
+    const auto then_begin =
+        events_.begin() + static_cast<std::ptrdiff_t>(then_frame.memory_begin);
+    const auto else_begin =
+        events_.begin() + static_cast<std::ptrdiff_t>(else_frame.memory_begin);
+    if (!address_stream_ &&
+        !std::equal(then_begin, else_begin, else_begin, events_.end())) {
       address_stream_ = true;
       note("address-stream", site,
            "then/else arms touch different memory (" +
-               std::to_string(then_frame.memory.size()) + " vs " +
-               std::to_string(else_frame.memory.size()) + " accesses)");
+               std::to_string(else_begin - then_begin) + " vs " +
+               std::to_string(events_.end() - else_begin) + " accesses)");
     }
-    if (then_frame.branch_events != else_frame.branch_events ||
-        then_frame.structural != else_frame.structural) {
+    if (!branch_count_ &&
+        (then_frame.branch_events != else_frame.branch_events ||
+         then_frame.structural != else_frame.structural)) {
       branch_count_ = true;
       note("branch-count", site,
            "then/else arms retire different branch totals (" +
@@ -134,7 +162,7 @@ void SymbolicEngine::if_else(const SymSite& site, SymValue predicate,
                               else_frame.structural) +
                ")");
     }
-    if (then_frame.retired != else_frame.retired) {
+    if (!instruction_count_ && then_frame.retired != else_frame.retired) {
       instruction_count_ = true;
       note("instruction-count", site,
            "then/else arms retire different instruction counts (" +
@@ -143,18 +171,18 @@ void SymbolicEngine::if_else(const SymSite& site, SymValue predicate,
     }
   }
 
-  // Propagate a canonical merge to an enclosing arm so nested secret
-  // branches still participate in the parent's diff deterministically.
-  if (!frames_.empty()) {
+  // An enclosing arm inherits both arms' events, then-arm first, so
+  // nested secret branches still participate in the parent's diff
+  // deterministically; the memory accesses are already in place on
+  // events_.  Outside every arm nothing diffs them, so drop them.
+  if (frames_.empty()) {
+    events_.resize(then_frame.memory_begin);
+  } else {
     Frame& parent = frames_.back();
     parent.branch_events += 1 + then_frame.branch_events +
                             else_frame.branch_events;
     parent.structural += then_frame.structural + else_frame.structural;
     parent.retired += then_frame.retired + else_frame.retired;
-    parent.memory.insert(parent.memory.end(), then_frame.memory.begin(),
-                         then_frame.memory.end());
-    parent.memory.insert(parent.memory.end(), else_frame.memory.begin(),
-                         else_frame.memory.end());
   }
 }
 

@@ -7,11 +7,20 @@
 // is replayed literally, so every address a model touches is a concrete
 // index into a symbolic buffer.  Control flow over secret data is the
 // one construct the domain must interpret rather than replay: `if_else`
-// runs both arms, captures each arm's event stream (memory accesses,
-// branch/structural events, retired instructions), and diffs them.  An
-// aspect whose streams differ between the arms of a secret-predicate
-// branch *can* vary with the input — that is precisely the corresponding
-// LeakageContract claim, each backed by a witness naming the model site.
+// runs both arms and diffs what each did (memory accesses, branch/
+// structural events, retired instructions).  An aspect that differs
+// between the arms of a secret-predicate branch *can* vary with the
+// input — that is precisely the corresponding LeakageContract claim,
+// each backed by a witness naming the model site.
+//
+// Cost: if_else allocates nothing once the engine's stacks are warm.
+// Arms arrive as ArmRefs, and both arms append their memory accesses to
+// one engine-wide event stack, so the two streams sit adjacent (then-arm
+// first) and are compared in place.  Left there, they are exactly the
+// concatenation an enclosing arm's diff must see; the outermost if_else
+// truncates them away.  The guard stack holds running joins, so the
+// taint of all enclosing guards is its top.  An aspect already derived
+// is not re-diffed: only its first witness is kept.
 //
 // Soundness: arms are executed unconditionally and stores under a guard
 // are weak updates joined with the guard taint (classic implicit-flow
@@ -90,8 +99,8 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
               nn::kernels::SymValue predicate) override;
   void if_else(const nn::kernels::SymSite& site,
                nn::kernels::SymValue predicate,
-               const std::function<void()>& then_arm,
-               const std::function<void()>& else_arm) override;
+               nn::kernels::ArmRef then_arm,
+               nn::kernels::ArmRef else_arm) override;
 
   nn::kernels::SymValue rng_draw(const nn::kernels::SymSite& site) override;
   void scales_with_shape() override;
@@ -110,9 +119,10 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
     bool operator==(const MemEvent&) const = default;
   };
 
-  /// Event stream of one if_else arm, for diffing against its sibling.
+  /// What one if_else arm did, for diffing against its sibling: its
+  /// memory accesses are events_[memory_begin, end) while it runs.
   struct Frame {
-    std::vector<MemEvent> memory;
+    std::size_t memory_begin = 0;
     std::uint64_t branch_events = 0;
     std::uint64_t structural = 0;
     std::uint64_t retired = 0;
@@ -120,6 +130,10 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
 
   nn::kernels::SymBuffer make_buffer(std::size_t numel,
                                      nn::kernels::SymTaint taint);
+  /// The element at (buffer, index); throws InvalidArgument when the
+  /// model indexes outside the buffer.
+  nn::kernels::SymValue& element(nn::kernels::SymBuffer buffer,
+                                 std::size_t index);
   nn::kernels::SymValue guard_taint() const;
   void record_memory(MemEvent event);
   void note(const char* aspect, const nn::kernels::SymSite& site,
@@ -128,8 +142,12 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
   std::vector<std::vector<nn::kernels::SymValue>> buffers_;
   std::size_t input_numel_ = 0;
   std::size_t output_id_ = SIZE_MAX;
+  /// Running joins: guards_[i] joins the predicates of the i+1
+  /// outermost open if_elses, so back() is every open guard's taint.
   std::vector<nn::kernels::SymValue> guards_;
   std::vector<Frame> frames_;
+  /// Memory accesses of every open arm, outermost first.
+  std::vector<MemEvent> events_;
 
   bool branch_outcomes_ = false;
   bool branch_count_ = false;

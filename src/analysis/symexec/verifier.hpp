@@ -24,7 +24,8 @@ namespace sce::analysis {
 /// the service's ResultCache key: a cached verdict is only as good as
 /// the analyzer that produced it, so an analyzer change must miss.
 /// Bump on any change to derivation rules, symbolic models, or lint
-/// gating semantics.
+/// gating semantics.  A change to derivation speed alone does not bump
+/// it, so result-cache keys stay valid across it.
 const std::string& analyzer_version();
 
 namespace symexec {

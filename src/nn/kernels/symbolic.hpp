@@ -24,9 +24,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/kernels/execution_path.hpp"
@@ -86,6 +87,29 @@ struct SymSite {
 #define SCE_SYM_SITE(label) \
   (::sce::nn::kernels::SymSite{__FILE__, __LINE__, (label)})
 
+/// A non-owning reference to a `void()` callable: one arm of an
+/// `if_else`.  Binding a lambda copies two pointers and never allocates.
+/// The callable must outlive the call it is passed to, which an arm
+/// written at the call site always does.
+class ArmRef {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ArmRef> &&
+             std::is_invocable_r_v<void, F&>)
+  ArmRef(F&& arm) noexcept  // NOLINT: implicit, so lambdas convert
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(arm)))),
+        call_([](void* object) {
+          (*static_cast<std::remove_reference_t<F>*>(object))();
+        }) {}
+
+  void operator()() const { call_(object_); }
+
+ private:
+  void* object_;
+  void (*call_)(void*);
+};
+
 /// The abstract machine a symbolic kernel run executes against.  Mirrors
 /// the TraceSink event vocabulary (load/store/branch/retire/structural)
 /// plus the control construct the sink cannot express: a region whose
@@ -136,8 +160,7 @@ class SymbolicExecutor {
   /// memory / branch / retire events make the corresponding aspect
   /// input-dependent when `predicate` is secret.
   virtual void if_else(const SymSite& site, SymValue predicate,
-                       const std::function<void()>& then_arm,
-                       const std::function<void()>& else_arm) = 0;
+                       ArmRef then_arm, ArmRef else_arm) = 0;
 
   /// The kernel draws inference-time randomness (a masking
   /// countermeasure would; none of the stock kernels do).

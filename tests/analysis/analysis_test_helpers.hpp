@@ -1,6 +1,7 @@
 // Custom layers exercising the analyzer's edge cases: a deliberately
 // leaky kernel (with an honest or a lying symbolic model), a sanitizing
-// layer that clears secret taint, and a layer with no symbolic model.
+// layer that clears secret taint, a layer with no symbolic model, and a
+// layer whose symbolic model writes past its output buffer.
 #pragma once
 
 #include <algorithm>
@@ -121,6 +122,42 @@ class UndeclaredLayer final : public nn::Layer {
                     nn::ExecutionPath /*path*/) const override {
     if (!output.same_shape(input)) output.resize(input.shape());
     std::copy(input.data(), input.data() + input.numel(), output.data());
+  }
+
+  nn::Tensor train_forward(const nn::Tensor& input) override { return input; }
+  nn::Tensor backward(const nn::Tensor& grad) override { return grad; }
+  std::vector<std::size_t> output_shape(
+      const std::vector<std::size_t>& in) const override {
+    return in;
+  }
+};
+
+/// Identity layer whose symbolic model has an off-by-one bug: it stores
+/// one element past its output buffer.  The engine must reject the model
+/// with InvalidArgument instead of writing outside the buffer.
+class OverrunningModelLayer final : public nn::Layer {
+ public:
+  std::string name() const override { return "overrunning-model"; }
+
+  using nn::Layer::forward_into;
+  void forward_into(const nn::Tensor& input, nn::Tensor& output,
+                    nn::Workspace& /*workspace*/, uarch::TraceSink& /*sink*/,
+                    nn::KernelMode /*mode*/,
+                    nn::ExecutionPath /*path*/) const override {
+    if (!output.same_shape(input)) output.resize(input.shape());
+    std::copy(input.data(), input.data() + input.numel(), output.data());
+  }
+
+  void symbolic_forward(nn::kernels::SymbolicExecutor& exec,
+                        const std::vector<std::size_t>& input_shape,
+                        nn::KernelMode /*mode*/,
+                        nn::ExecutionPath /*path*/) const override {
+    std::size_t n = 1;
+    for (std::size_t d : input_shape) n *= d;
+    const nn::kernels::SymBuffer in = exec.input_buffer();
+    const nn::kernels::SymBuffer out = exec.output_buffer(n);
+    for (std::size_t i = 0; i <= n; ++i)  // one past the end
+      exec.store(out, i, exec.load(in, i < n ? i : 0));
   }
 
   nn::Tensor train_forward(const nn::Tensor& input) override { return input; }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "analysis/lint.hpp"
+#include "tests/analysis/analysis_test_helpers.hpp"
 #include "tests/core/campaign_helpers.hpp"
 #include "util/error.hpp"
 
@@ -77,6 +81,21 @@ TEST(Lint, MismatchedInputShapeThrows) {
   LintOptions options;
   // 28x28 inputs do not chain through a model built for 12x12.
   EXPECT_THROW(lint(model, {1, 28, 28}, options), Error);
+}
+
+TEST(Lint, SymbolicModelIndexingPastItsBufferThrows) {
+  // A custom layer whose symbolic model stores one past its output
+  // buffer: the engine throws instead of writing outside the buffer.
+  nn::Sequential model = core::testing::tiny_model();
+  model.add(std::make_unique<testing::OverrunningModelLayer>());
+  LintOptions options;
+  try {
+    (void)lint(model, kTinyShape, options);
+    FAIL() << "lint accepted a model that indexes past its buffer";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("element 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

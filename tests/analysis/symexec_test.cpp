@@ -8,7 +8,9 @@
 // actually observes; (3) the fast path is symbolically verified end to
 // end, closing the oracle-unverified gap.  Plus the edge cases the
 // abstract domain must not trip over: degenerate geometries, sanitizing
-// layers, RNG draws and layers with no model at all.
+// layers, RNG draws and layers with no model at all.  Last, the engine
+// driven directly: the arm-diff semantics its allocation-free if_else
+// must keep, and the bounds check on every buffer access.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +30,8 @@
 #include "nn/kernels/symbolic.hpp"
 #include "nn/zoo.hpp"
 #include "tests/analysis/analysis_test_helpers.hpp"
+#include "util/alloc_hook.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sce::analysis::symexec {
@@ -440,6 +444,232 @@ TEST(SymbolicWitnesses, DenseWitnessesNameModelSites) {
               aspects.end())
         << "missing witness aspect " << aspect;
   }
+}
+
+// ---------------------------------------------------------------------
+// The engine driven directly: each test runs hand-written arms on a
+// fresh engine and reads the derived flags and witnesses back.
+
+using nn::kernels::SymBuffer;
+using nn::kernels::SymTaint;
+using nn::kernels::SymValue;
+
+constexpr SymValue kSecret{SymTaint::kSecret};
+constexpr SymValue kPublic{SymTaint::kPublic};
+
+const Witness* find_witness(const DerivedContract& derived,
+                            const std::string& aspect) {
+  for (const Witness& w : derived.witnesses) {
+    if (w.aspect == aspect) return &w;
+  }
+  return nullptr;
+}
+
+TEST(SymbolicEngine, NestedSecretArmsReachTheParentDiff) {
+  // The inner secret if_else's arms make the same accesses, so the inner
+  // diff sees nothing.  The outer then-arm inherits both inner arms'
+  // accesses: an outer else-arm that makes them twice matches it, one
+  // that makes them once does not.
+  for (const int repeats : {2, 1}) {
+    SymbolicEngine engine(4);
+    const SymBuffer in = engine.input_buffer();
+    const SymBuffer out = engine.output_buffer(4);
+    const auto access = [&] { engine.store(out, 1, engine.load(in, 0)); };
+    engine.if_else(
+        SCE_SYM_SITE("outer"), kSecret,
+        [&] { engine.if_else(SCE_SYM_SITE("inner"), kSecret, access, access); },
+        [&] {
+          engine.branch(SCE_SYM_SITE("stands in for the inner branch"),
+                        kPublic);
+          for (int r = 0; r < repeats; ++r) access();
+        });
+    const DerivedContract derived = engine.finish(ExecutionPath::kFast);
+    SCOPED_TRACE(repeats);
+    EXPECT_TRUE(derived.contract.branch_outcomes_vary);
+    EXPECT_FALSE(derived.contract.branch_count_varies);
+    EXPECT_EQ(derived.contract.address_stream_varies, repeats == 1);
+    if (repeats == 1) {
+      const Witness* w = find_witness(derived, "address-stream");
+      ASSERT_NE(w, nullptr);
+      EXPECT_EQ(w->label, "outer");
+      EXPECT_NE(w->detail.find("(4 vs 2 accesses)"), std::string::npos)
+          << w->detail;
+    }
+  }
+}
+
+TEST(SymbolicEngine, ReorderedAccessesVaryTheAddressStream) {
+  SymbolicEngine engine(4);
+  const SymBuffer in = engine.input_buffer();
+  engine.if_else(
+      SCE_SYM_SITE("swap"), kSecret,
+      [&] {
+        engine.load(in, 0);
+        engine.load(in, 1);
+      },
+      [&] {
+        engine.load(in, 1);
+        engine.load(in, 0);
+      });
+  const DerivedContract derived = engine.finish(ExecutionPath::kFast);
+  EXPECT_TRUE(derived.contract.branch_outcomes_vary);
+  EXPECT_TRUE(derived.contract.address_stream_varies);
+  EXPECT_FALSE(derived.contract.branch_count_varies);
+  EXPECT_FALSE(derived.contract.instruction_count_varies);
+  const Witness* w = find_witness(derived, "address-stream");
+  ASSERT_NE(w, nullptr);
+  EXPECT_NE(w->detail.find("(2 vs 2 accesses)"), std::string::npos)
+      << w->detail;
+}
+
+TEST(SymbolicEngine, PublicPredicateWithDivergentArmsDerivesNothing) {
+  SymbolicEngine engine(4);
+  const SymBuffer in = engine.input_buffer();
+  const SymBuffer out = engine.output_buffer(4);
+  engine.if_else(
+      SCE_SYM_SITE("public"), kPublic, [] {},
+      [&] {
+        engine.store(out, 0, engine.load(in, 0));
+        engine.branch(SCE_SYM_SITE("public inner"), kPublic);
+        engine.structural_branches(3);
+        engine.retire(7);
+      });
+  const DerivedContract derived = engine.finish(ExecutionPath::kFast);
+  EXPECT_FALSE(derived.contract.input_dependent());
+  EXPECT_TRUE(derived.witnesses.empty());
+}
+
+TEST(SymbolicEngine, NestedGuardedStoreIsAWeakUpdateCarryingOuterTaint) {
+  // A public store under a public guard nested in a secret one: the
+  // outer guard's taint flows in (implicit flow).
+  SymbolicEngine engine(4);
+  (void)engine.input_buffer();
+  const SymBuffer out = engine.output_buffer(4);
+  engine.if_else(
+      SCE_SYM_SITE("outer"), kSecret,
+      [&] {
+        engine.if_else(
+            SCE_SYM_SITE("inner"), kPublic,
+            [&] { engine.store(out, 0, kPublic); }, [] {});
+      },
+      [] {});
+  EXPECT_TRUE(engine.value(out, 0).secret());
+
+  // Public stores under two public guards: no guard taint flows in, but
+  // the update is still weak, so an element's old secret taint survives.
+  engine.assign(out, 1, kSecret);
+  engine.if_else(
+      SCE_SYM_SITE("public outer"), kPublic,
+      [&] {
+        engine.if_else(
+            SCE_SYM_SITE("public inner"), kPublic,
+            [&] {
+              engine.store(out, 2, kPublic);
+              engine.store(out, 1, kPublic);
+            },
+            [] {});
+      },
+      [] {});
+  EXPECT_FALSE(engine.value(out, 2).secret());
+  EXPECT_TRUE(engine.value(out, 1).secret());
+
+  // Outside every guard a store is a strong update.
+  engine.store(out, 1, kPublic);
+  EXPECT_FALSE(engine.value(out, 1).secret());
+}
+
+TEST(SymbolicEngine, AccessCountWitnessComesFromTheFirstDivergentSite) {
+  SymbolicEngine engine(4);
+  const SymBuffer in = engine.input_buffer();
+  engine.if_else(
+      SCE_SYM_SITE("same"), kSecret, [&] { engine.load(in, 0); },
+      [&] { engine.load(in, 0); });
+  engine.if_else(
+      SCE_SYM_SITE("first divergent"), kSecret, [&] { engine.load(in, 1); },
+      [] {});
+  engine.if_else(
+      SCE_SYM_SITE("second divergent"), kSecret,
+      [&] {
+        engine.load(in, 2);
+        engine.load(in, 3);
+        engine.load(in, 0);
+      },
+      [] {});
+  const DerivedContract derived = engine.finish(ExecutionPath::kFast);
+  const Witness* w = find_witness(derived, "address-stream");
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w->label, "first divergent");
+  EXPECT_NE(w->detail.find("(1 vs 0 accesses)"), std::string::npos)
+      << w->detail;
+  // One witness per aspect, in discovery order.
+  std::vector<std::string> aspects;
+  for (const Witness& x : derived.witnesses) aspects.push_back(x.aspect);
+  EXPECT_EQ(aspects, (std::vector<std::string>{
+                         "branch-outcomes", "address-stream"}));
+}
+
+TEST(SymbolicEngine, WarmIfElseDoesNotAllocate) {
+  // The zero-skip pattern of the data-dependent conv and dense kernels:
+  // one secret if_else per MAC, the work arm loading a weight.  Once the
+  // first round has grown the engine's stacks and recorded every
+  // witness, further if_elses must not touch the heap.
+  constexpr std::size_t kRound = 16;
+  SymbolicEngine engine(kRound);
+  const SymBuffer in = engine.input_buffer();
+  const SymBuffer w = engine.param_buffer("w", kRound);
+  const SymBuffer out = engine.output_buffer(1);
+  const auto round = [&](std::size_t count) {
+    for (std::size_t n = 0; n < count; ++n) {
+      const std::size_t i = n % kRound;
+      const SymValue x = engine.load(in, i);
+      engine.if_else(
+          SCE_SYM_SITE("mac skip (x==0)"), x, [] {},
+          [&] {
+            const SymValue wi = engine.load(w, i);
+            engine.assign(out, 0, join(engine.value(out, 0), x, wi));
+            engine.retire(2);
+          });
+    }
+  };
+  round(kRound);
+  const util::AllocationCounter guard;
+  round(1000);
+  EXPECT_EQ(guard.allocations(), 0u);
+  const DerivedContract derived = engine.finish(ExecutionPath::kFast);
+  EXPECT_TRUE(derived.contract.address_stream_varies);
+  EXPECT_TRUE(derived.contract.instruction_count_varies);
+}
+
+TEST(SymbolicEngine, OutOfBoundsAccessThrowsNamingBufferAndIndex) {
+  {
+    SymbolicEngine engine(4);
+    const SymBuffer in = engine.input_buffer();  // buffer 0
+    const SymBuffer out = engine.output_buffer(2);  // buffer 1
+    EXPECT_THROW(engine.load(in, 4), InvalidArgument);
+    EXPECT_THROW(engine.value(out, 2), InvalidArgument);
+    EXPECT_THROW(engine.assign(out, 2, kPublic), InvalidArgument);
+    EXPECT_THROW(engine.load(SymBuffer{7}, 0), InvalidArgument);
+    try {
+      engine.store(out, 2, kPublic);
+      FAIL() << "store past the end did not throw";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("buffer 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("element 2"), std::string::npos) << what;
+    }
+  }
+  // A custom layer whose model stores one past its output is rejected,
+  // and so is a model that contains it.
+  const testing::OverrunningModelLayer layer;
+  EXPECT_THROW(derive_layer_contract(layer, {1, 2, 3},
+                                     KernelMode::kDataDependent,
+                                     ExecutionPath::kInstrumented),
+               InvalidArgument);
+  nn::Sequential model;
+  model.add(std::make_unique<testing::OverrunningModelLayer>());
+  EXPECT_THROW(PlanAnalyzer().analyze(model, {6}, KernelMode::kDataDependent,
+                                      "overrun"),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------

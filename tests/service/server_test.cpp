@@ -7,6 +7,7 @@
 
 #include "hpc/instrument_factory.hpp"
 #include "service/server.hpp"
+#include "tests/analysis/analysis_test_helpers.hpp"
 #include "tests/core/campaign_helpers.hpp"
 #include "util/error.hpp"
 
@@ -144,6 +145,20 @@ TEST(EvaluationServer, LintGateRejectsLeakyModelWhenConfigured) {
       server.submit(core::testing::tiny_model(), constant_flow);
   EXPECT_EQ(server.wait(admitted).state, JobState::kCompleted);
   EXPECT_EQ(server.stats().rejected, 1u);
+}
+
+TEST(EvaluationServer, OverrunningSymbolicModelIsRejectedAtAdmission) {
+  // A custom layer whose symbolic model stores past its output buffer
+  // makes the lint throw; admission turns that into a lint rejection.
+  EvaluationServer server(test_server_config("overrun"));
+  nn::Sequential model = core::testing::tiny_model();
+  model.add(std::make_unique<analysis::testing::OverrunningModelLayer>());
+  const std::uint64_t id = server.submit(std::move(model), tiny_job_config());
+  const JobStatus status = server.status(id);
+  EXPECT_EQ(status.state, JobState::kRejected);
+  EXPECT_EQ(status.reject_domain, "lint");
+  EXPECT_NE(status.error.find("element 4"), std::string::npos)
+      << status.error;
 }
 
 TEST(EvaluationServer, ModelDatasetShapeMismatchIsRejectedAtAdmission) {

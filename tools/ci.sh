@@ -153,11 +153,14 @@ else
   # asserts the SIMD fast kernels are bit-for-bit identical to the
   # instrumented scalar loops (every zoo model, both kernel modes, edge
   # shapes, plan buffer reuse); KernelTrace pins the instrumented event
-  # streams; Symbolic and ContractOracle run the kernels' symbolic
-  # instantiation, which indexes engine buffers with kernel-computed
-  # indices.  The full sanitized suite below reuses the same build tree.
+  # streams; Symbolic, ContractOracle, ContractFixtures and Lint run the
+  # kernels' symbolic instantiation, which indexes engine buffers with
+  # kernel-computed indices and diffs if_else arms as raw slices of the
+  # engine's shared event stack.  The full sanitized suite below reuses
+  # the same build tree.
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
-    "${BUILD_DIR}-sanitize" 'KernelPath|KernelTrace|Symbolic|ContractOracle'
+    "${BUILD_DIR}-sanitize" \
+    'KernelPath|KernelTrace|Symbolic|ContractOracle|ContractFixtures|Lint'
 
   echo "==> running tier-1 suite under address;undefined"
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
