@@ -17,7 +17,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -25,7 +24,7 @@
 #include "uarch/branch_predictor.hpp"
 #include "uarch/core_model.hpp"
 #include "uarch/hierarchy.hpp"
-#include "uarch/trace.hpp"
+#include "uarch/machine.hpp"
 #include "uarch/trace_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -131,35 +130,11 @@ void apply_environment(CounterSample& sample,
                        const std::array<EnvironmentSpec, kNumEvents>& specs,
                        util::Rng& rng);
 
-/// First-touch page numbering behind address normalisation: the n-th
-/// distinct page looked up since the last clear() gets frame n.  A flat
-/// open-addressed table whose storage survives clear(), so a cold start
-/// does not allocate once the table has grown to the workload's page
-/// count.
-class FirstTouchPages {
- public:
-  FirstTouchPages();
-
-  /// Frame of `page`, assigning the next free frame on first touch.
-  std::uintptr_t frame_of(std::uintptr_t page);
-
-  bool empty() const { return size_ == 0; }
-  void clear();
-
- private:
-  static constexpr std::uintptr_t kNoPage = ~std::uintptr_t{0};
-  struct Slot {
-    std::uintptr_t page = kNoPage;
-    std::uintptr_t frame = 0;
-  };
-
-  void grow();
-
-  std::vector<Slot> slots_;  // size is a power of two, at most half full
-  std::size_t size_ = 0;
-};
-
-class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
+/// The CounterProvider half of the simulated PMU: measurement keys, the
+/// environment overlay, trace replay and reads.  Every event the kernels
+/// stream lands in the uarch::SimulatedMachine it derives from.
+class SimulatedPmu final : public CounterProvider,
+                           public uarch::SimulatedMachine {
  public:
   explicit SimulatedPmu(SimulatedPmuConfig config = {});
 
@@ -175,13 +150,6 @@ class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
   /// key persists until replaced, so a retried measurement with a fresh
   /// key draws fresh (but still reproducible) noise.
   bool set_measurement_key(std::uint64_t key) override;
-
-  // --- TraceSink (fed by the instrumented kernels) ---
-  void load(const void* addr, std::size_t bytes) override;
-  void store(const void* addr, std::size_t bytes) override;
-  void branch(std::uintptr_t pc, bool taken) override;
-  void structural_branches(std::uint64_t n) override;
-  void retire(std::uint64_t n) override;
 
   /// The trace sink kernels should write into (this object itself).
   uarch::TraceSink& sink() { return *this; }
@@ -211,39 +179,10 @@ class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
   /// environment overlay (for tests and ablations).
   CounterSample workload_counts() const;
 
-  /// Hierarchy latency accumulated by the current/last measurement (the
-  /// memory_cycles input to the core event model); exposed so component
-  /// replays can be composed via assemble_workload_counts.
-  std::uint64_t memory_cycles() const { return memory_cycles_; }
-
-  uarch::MemoryHierarchy& hierarchy() { return hierarchy_; }
-  uarch::BranchPredictor& predictor() { return *predictor_; }
-
  private:
-  std::uintptr_t normalize(const void* addr);
-  void data_access(const void* addr, std::size_t bytes, bool is_write);
-
   SimulatedPmuConfig config_;
-  uarch::MemoryHierarchy hierarchy_;
-  std::unique_ptr<uarch::BranchPredictor> predictor_;
   util::Rng noise_rng_;
-  util::Rng pollution_rng_;
   std::optional<std::uint64_t> measurement_key_;
-
-  bool running_ = false;
-  /// Set while consume() replays a canonical-address trace into a cold
-  /// normalized measurement: the addresses already are the normalized
-  /// form, so normalize() passes them through untouched.
-  bool trusted_canonical_ = false;
-  FirstTouchPages page_frames_;
-  std::size_t accesses_since_pollution_ = 0;
-
-  // Counts accumulated during the active measurement.
-  std::uint64_t loads_ = 0;
-  std::uint64_t stores_ = 0;
-  std::uint64_t retired_ = 0;
-  std::uint64_t structural_branches_ = 0;
-  std::uint64_t memory_cycles_ = 0;
 };
 
 }  // namespace sce::hpc

@@ -39,8 +39,7 @@ void forward_kernel(D& d, const float* in_data, float* out_data,
 
 void relu_instrumented(const float* in, float* out, std::size_t n,
                        uarch::TraceSink& sink, KernelMode mode) {
-  TracedDomain d(sink);
-  forward_kernel(d, in, out, n, mode);
+  run_traced(sink, [&](auto& d) { forward_kernel(d, in, out, n, mode); });
 }
 
 void relu_scalar(const float* in, float* out, std::size_t n,

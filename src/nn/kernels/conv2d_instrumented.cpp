@@ -3,11 +3,11 @@
 // Every sink event (loads, the zero-skip branch, retire bookkeeping,
 // structural back-edges) and the loop order are pinned by trace tests and
 // the oracle cross-check.  Each kernel is one loop nest over an execution
-// domain (domain.hpp): the TraceSink instantiation serves observing
-// sinks, the DiscardSink instantiation compiles the trace calls away and
-// is the scalar path the fast kernels are measured against, and the
-// symbolic instantiation is the model the analyzer derives the contract
-// from.
+// domain (domain.hpp): the simulated-machine and TraceSink instantiations
+// serve observing sinks, the DiscardSink instantiation compiles the trace
+// calls away and is the scalar path the fast kernels are measured
+// against, and the symbolic instantiation is the model the analyzer
+// derives the contract from.
 #include "nn/kernels/conv2d.hpp"
 
 #include "nn/conv.hpp"
@@ -169,8 +169,7 @@ float* patch_scratch(const Conv2DShape& s, Workspace& workspace) {
 
 void conv2d_direct_instrumented(const Conv2DShape& s, uarch::TraceSink& sink,
                                 KernelMode mode) {
-  TracedDomain d(sink);
-  forward_direct(d, s, mode);
+  run_traced(sink, [&](auto& d) { forward_direct(d, s, mode); });
 }
 
 void conv2d_direct_scalar(const Conv2DShape& s, KernelMode mode) {
@@ -181,8 +180,9 @@ void conv2d_direct_scalar(const Conv2DShape& s, KernelMode mode) {
 
 void conv2d_im2col_instrumented(const Conv2DShape& s, Workspace& workspace,
                                 uarch::TraceSink& sink, KernelMode mode) {
-  TracedDomain d(sink);
-  forward_im2col(d, s, patch_scratch(s, workspace), mode);
+  run_traced(sink, [&](auto& d) {
+    forward_im2col(d, s, patch_scratch(s, workspace), mode);
+  });
 }
 
 void conv2d_im2col_scalar(const Conv2DShape& s, Workspace& workspace,

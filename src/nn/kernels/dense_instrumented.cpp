@@ -53,8 +53,7 @@ void forward_kernel(D& d, const DenseShape& s, KernelMode mode) {
 
 void dense_instrumented(const DenseShape& s, uarch::TraceSink& sink,
                         KernelMode mode) {
-  TracedDomain d(sink);
-  forward_kernel(d, s, mode);
+  run_traced(sink, [&](auto& d) { forward_kernel(d, s, mode); });
 }
 
 void dense_scalar(const DenseShape& s, KernelMode mode) {

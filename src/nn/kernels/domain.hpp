@@ -1,17 +1,30 @@
-// Execution domains: one loop nest per instrumented kernel, three
+// Execution domains: one loop nest per instrumented kernel, four
 // instantiations.
 //
 // Each *_instrumented.cpp kernel is a template over a domain `D` and
 // touches data and control flow only through the vocabulary below.  The
 // same loop nest then instantiates as
-//  * TracedDomain<uarch::TraceSink> — concrete floats, every event
-//    reported to an observing sink (campaigns, the trace oracle);
+//  * TracedDomain<uarch::SimulatedMachine> — concrete floats, every event
+//    an inlined direct call into the simulated machine (the campaign's
+//    measurement path: the sink is a SimulatedPmu);
+//  * TracedDomain<uarch::TraceSink> — the same events through one virtual
+//    call each, for any other observing sink (recorders, tees, counters,
+//    the trace oracle);
 //  * TracedDomain<uarch::DiscardSink> — the same loop with every trace
 //    call compiled away (the scalar path the fast kernels are measured
 //    against);
 //  * SymbolicDomain — secrecy taints over a SymbolicExecutor, from which
 //    the analyzer derives the kernel's LeakageContract.  The symbolic
 //    model *is* the kernel, so it cannot drift from it.
+// Each traced entry point picks its instantiation once per call with
+// run_traced() below; nothing else chooses between the first two.
+//
+// Site pcs: a branch's pc indexes the branch predictor, so every
+// instantiation must report the same pc for the same site, or the two
+// traced paths would train different predictor entries and disagree on
+// branch-misses.  SCE_KERNEL_SITE's pc is therefore a compile-time hash
+// of the site's source (file basename, line, label), never an address
+// that differs per instantiation or per binary.
 //
 // Vocabulary (D::Value is float or SymValue, whose arithmetic is join):
 //  input / param / output / scratch   bind a buffer: the pointer itself
@@ -38,6 +51,8 @@
 #include <cstdint>
 
 #include "nn/kernels/symbolic.hpp"
+#include "uarch/machine.hpp"
+#include "uarch/trace.hpp"
 
 namespace sce::nn::kernels {
 
@@ -49,15 +64,42 @@ struct KernelSite {
   SymSite witness;
 };
 
-/// Yields the KernelSite of the expansion point.  The pc is the address
-/// of a function-local static (one per site, stable within a binary);
-/// the witness is this file and line plus `label`.
-#define SCE_KERNEL_SITE(label)                                          \
-  ([]() -> ::sce::nn::kernels::KernelSite {                             \
-    static constexpr ::sce::nn::kernels::SymSite site{__FILE__,         \
-                                                      __LINE__, label}; \
-    return {reinterpret_cast<std::uintptr_t>(&site), site};             \
-  }())
+namespace detail {
+constexpr std::uint64_t fnv1a(std::uint64_t h, unsigned char byte) {
+  return (h ^ byte) * 0x100000001B3ULL;
+}
+constexpr std::uint64_t fnv1a(std::uint64_t h, const char* s) {
+  for (; *s != '\0'; ++s) h = fnv1a(h, static_cast<unsigned char>(*s));
+  return h;
+}
+}  // namespace detail
+
+/// The pc of the site at `file`:`line` named `label`: FNV-1a over the
+/// file's basename, the line's four bytes and the label.  A pure function
+/// of the source, so it is the same in every instantiation and every
+/// binary.
+constexpr std::uintptr_t kernel_site_pc(const char* file, int line,
+                                        const char* label) {
+  const char* base = file;
+  for (const char* p = file; *p != '\0'; ++p)
+    if (*p == '/' || *p == '\\') base = p + 1;
+  std::uint64_t h = detail::fnv1a(0xCBF29CE484222325ULL, base);
+  for (int shift = 0; shift < 32; shift += 8)
+    h = detail::fnv1a(h, static_cast<unsigned char>(
+                             static_cast<unsigned>(line) >> shift));
+  return static_cast<std::uintptr_t>(detail::fnv1a(h, label));
+}
+
+consteval KernelSite make_kernel_site(const char* file, int line,
+                                      const char* label) {
+  return {kernel_site_pc(file, line, label), SymSite{file, line, label}};
+}
+
+/// Yields the KernelSite of the expansion point: the witness is this
+/// file and line plus `label`, and the pc is kernel_site_pc of the same
+/// three, evaluated at compile time.
+#define SCE_KERNEL_SITE(label) \
+  (::sce::nn::kernels::make_kernel_site(__FILE__, __LINE__, label))
 
 /// Concrete domain over any sink with the TraceSink event vocabulary.
 template <typename Sink>
@@ -107,6 +149,22 @@ class TracedDomain {
  private:
   Sink& sink_;
 };
+
+/// Runs `kernel(d)` once over the traced domain that fits `sink`: the
+/// direct-call TracedDomain<uarch::SimulatedMachine> when the sink is the
+/// simulated machine, TracedDomain<uarch::TraceSink> otherwise.  Both run
+/// the same loop nest and report the same events with the same site pcs,
+/// so they yield the same counts.  The check runs once per kernel call.
+template <typename Kernel>
+void run_traced(uarch::TraceSink& sink, Kernel&& kernel) {
+  if (auto* machine = dynamic_cast<uarch::SimulatedMachine*>(&sink)) {
+    TracedDomain<uarch::SimulatedMachine> d(*machine);
+    kernel(d);
+  } else {
+    TracedDomain<uarch::TraceSink> d(sink);
+    kernel(d);
+  }
+}
 
 /// A symbolic buffer handle: an engine buffer plus an element offset,
 /// the counterpart of a pointer into the middle of a tensor.

@@ -5,10 +5,14 @@
 //
 //  * kInstrumented — the Sink-emitting reference loops.  These are the
 //    leakage ground truth: every load/branch/retire they report is what
-//    the trace oracle cross-validates and what campaigns measure.  With a
-//    discarding sink they instantiate over DiscardSink, which compiles
-//    the trace calls away but keeps the scalar loop structure — the
-//    "scalar planned path" the fast kernels are benchmarked against.
+//    the trace oracle cross-validates and what campaigns measure.  An
+//    observing sink runs them over the simulated machine by direct calls
+//    when it is one (a SimulatedPmu), and through TraceSink's virtual
+//    calls otherwise; both report the same events with the same site pcs
+//    (domain.hpp).  With a discarding sink they instantiate over
+//    DiscardSink, which compiles the trace calls away but keeps the
+//    scalar loop structure — the "scalar planned path" the fast kernels
+//    are benchmarked against.
 //  * kFast — SIMD/blocked production-shaped kernels (im2col + tiled GEMM
 //    for conv2d, register-blocked GEMV for dense, branch-free vectorized
 //    activations).  They emit no trace events and are pinned bit-for-bit

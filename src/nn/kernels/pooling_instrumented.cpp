@@ -87,8 +87,7 @@ void avgpool_kernel(D& d, const Pool2DShape& s) {
 
 void maxpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink,
                             KernelMode mode) {
-  TracedDomain d(sink);
-  maxpool_kernel(d, s, mode);
+  run_traced(sink, [&](auto& d) { maxpool_kernel(d, s, mode); });
 }
 
 void maxpool2d_scalar(const Pool2DShape& s, KernelMode mode) {
@@ -105,8 +104,7 @@ void maxpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
 }
 
 void avgpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink) {
-  TracedDomain d(sink);
-  avgpool_kernel(d, s);
+  run_traced(sink, [&](auto& d) { avgpool_kernel(d, s); });
 }
 
 void avgpool2d_scalar(const Pool2DShape& s) {

@@ -79,8 +79,7 @@ void forward_kernel(D& d, const RnnShape& s, KernelMode mode) {
 
 void rnn_instrumented(const RnnShape& s, uarch::TraceSink& sink,
                       KernelMode mode) {
-  TracedDomain d(sink);
-  forward_kernel(d, s, mode);
+  run_traced(sink, [&](auto& d) { forward_kernel(d, s, mode); });
 }
 
 void rnn_scalar(const RnnShape& s, KernelMode mode) {

@@ -44,8 +44,7 @@ void forward_kernel(D& d, const float* x_data, float* y_data,
 
 void softmax_instrumented(const float* in, float* out, std::size_t n,
                           uarch::TraceSink& sink) {
-  TracedDomain d(sink);
-  forward_kernel(d, in, out, n);
+  run_traced(sink, [&](auto& d) { forward_kernel(d, in, out, n); });
 }
 
 void softmax_scalar(const float* in, float* out, std::size_t n) {

@@ -34,17 +34,25 @@ class Tlb {
   bool access(std::uintptr_t address) {
     ++stats_.accesses;
     const std::uintptr_t page = address >> page_shift_;
-    Entry* base =
-        &entries_[(static_cast<std::size_t>(page) & set_mask_) *
-                  config_.associativity];
+    const std::size_t set = static_cast<std::size_t>(page) & set_mask_;
+    Entry* base = &entries_[set * config_.associativity];
+    // Pages are unique within a set, so probing the set's MRU entry first
+    // changes only how soon the hit is found, never which entry hits.
+    Entry& mru = base[mru_[set]];
+    if (mru.page == page) {
+      ++stats_.hits;
+      mru.stamp = ++tick_;
+      return true;
+    }
     for (std::size_t i = 0; i < config_.associativity; ++i) {
-      if (base[i].valid && base[i].page == page) {
+      if (base[i].page == page) {
         ++stats_.hits;
         base[i].stamp = ++tick_;
+        mru_[set] = static_cast<std::uint8_t>(i);
         return true;
       }
     }
-    install(base, page);
+    install(base, set, page);
     return false;
   }
 
@@ -55,21 +63,24 @@ class Tlb {
   void reset_stats() { stats_ = TlbStats{}; }
 
  private:
+  /// An empty entry holds kNoPage, which no user-space address shifts
+  /// down to.
+  static constexpr std::uintptr_t kNoPage = ~std::uintptr_t{0};
   struct Entry {
-    std::uintptr_t page = 0;
-    bool valid = false;
+    std::uintptr_t page = kNoPage;
     std::uint64_t stamp = 0;
   };
 
   /// Miss path: count the miss and install `page` over the set's LRU
   /// entry.
-  void install(Entry* set, std::uintptr_t page);
+  void install(Entry* base, std::size_t set, std::uintptr_t page);
 
   TlbConfig config_;
   TlbStats stats_;
   unsigned page_shift_ = 0;   // log2(page_bytes)
   std::size_t set_mask_ = 0;  // num_sets - 1
   std::vector<Entry> entries_;
+  std::vector<std::uint8_t> mru_;  // per set: the entry that hit last
   std::uint64_t tick_ = 0;
 };
 

@@ -73,6 +73,36 @@ TEST(Tlb, ConfigValidation) {
   EXPECT_THROW(Tlb{bad}, InvalidArgument);
 }
 
+TEST(Tlb, AssociativityAboveSixtyFourRejected) {
+  // The per-set MRU hint is a byte, and sets are capped at 64 entries.
+  TlbConfig cfg;
+  cfg.entries = 128;
+  cfg.associativity = 128;
+  EXPECT_THROW(Tlb{cfg}, InvalidArgument);
+
+  cfg.entries = 64;
+  cfg.associativity = 64;  // one fully associative set: the widest allowed
+  Tlb tlb(cfg);
+  for (std::uintptr_t p = 0; p < 64; ++p) EXPECT_FALSE(tlb.access(p * 4096));
+  for (std::uintptr_t p = 64; p-- > 0;) EXPECT_TRUE(tlb.access(p * 4096));
+}
+
+TEST(Tlb, MruProbeKeepsLruOrder) {
+  // Hits alternate between the set's MRU entry and the others; the LRU
+  // victim must be the same as a plain scan would pick.
+  Tlb tlb(tiny_tlb());
+  const std::uintptr_t page = 4096;
+  tlb.access(0 * page);
+  tlb.access(4 * page);      // MRU: page 4
+  tlb.access(4 * page);      // MRU probe hit
+  tlb.access(0 * page);      // scan hit; page 4 is now LRU
+  tlb.access(8 * page);      // evicts page 4
+  EXPECT_TRUE(tlb.access(8 * page));
+  EXPECT_TRUE(tlb.access(0 * page));
+  EXPECT_FALSE(tlb.access(4 * page));
+  EXPECT_EQ(tlb.stats().misses, 4u);
+}
+
 TEST(Tlb, DefaultConfig) {
   Tlb tlb;
   EXPECT_EQ(tlb.config().entries, 64u);

@@ -156,11 +156,14 @@ else
   # streams; Symbolic, ContractOracle, ContractFixtures and Lint run the
   # kernels' symbolic instantiation, which indexes engine buffers with
   # kernel-computed indices and diffs if_else arms as raw slices of the
-  # engine's shared event stack.  The full sanitized suite below reuses
+  # engine's shared event stack.  PinnedCounts pins every uarch model's
+  # counts on seeded streams, and MachineDispatch requires the kernels'
+  # direct-call instantiation over the simulated machine to count exactly
+  # like the virtual TraceSink one.  The full sanitized suite below reuses
   # the same build tree.
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
     "${BUILD_DIR}-sanitize" \
-    'KernelPath|KernelTrace|Symbolic|ContractOracle|ContractFixtures|Lint'
+    'KernelPath|KernelTrace|Symbolic|ContractOracle|ContractFixtures|Lint|PinnedCounts|MachineDispatch'
 
   echo "==> running tier-1 suite under address;undefined"
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
