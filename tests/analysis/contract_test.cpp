@@ -184,7 +184,12 @@ TEST(ContractOracle, ElmanRNN) {
 
 // The reference table of every library layer's contract, per (mode,
 // path).  Each row is a literal expectation, so a kernel change that
-// moves any claim has to edit this table in the same commit.
+// moves any claim has to edit this table in the same commit.  The last
+// four layers are shapes that reach every vector body and tail of the
+// fast kernels: Dense 12x107 runs GEMV tiles of 8, 4 and 1 vectors plus
+// a 3-wide tail, ElmanRNN h=12 runs one vector plus a 4-wide tail, and
+// Conv5 (5 output channels over a 5x5 output) runs channel tiles of 4
+// and 1 plus a pixel tail.
 std::unique_ptr<nn::Layer> make_fixture_layer(const std::string& name) {
   if (name == "ReLU") return std::make_unique<nn::ReLU>();
   if (name == "MaxPool2D") return std::make_unique<nn::MaxPool2D>(2);
@@ -200,6 +205,14 @@ std::unique_ptr<nn::Layer> make_fixture_layer(const std::string& name) {
   }
   if (name == "Dense") return std::make_unique<nn::Dense>(12, 5);
   if (name == "ElmanRNN") return std::make_unique<nn::ElmanRNN>(6, 4);
+  if (name == "Conv5/direct") return std::make_unique<nn::Conv2D>(2, 5, 3);
+  if (name == "Conv5/im2col") {
+    auto conv = std::make_unique<nn::Conv2D>(2, 5, 3);
+    conv->set_algorithm(nn::ConvAlgorithm::kIm2col);
+    return conv;
+  }
+  if (name == "Dense 12x107") return std::make_unique<nn::Dense>(12, 107);
+  if (name == "ElmanRNN h=12") return std::make_unique<nn::ElmanRNN>(6, 12);
   return nullptr;
 }
 
@@ -207,8 +220,9 @@ std::vector<std::size_t> fixture_shape(const std::string& name) {
   if (name == "Flatten") return {2, 3, 4};
   if (name == "Softmax") return {10};
   if (name == "Dropout") return {4, 6};
-  if (name == "Dense") return {12};
-  if (name == "ElmanRNN") return {1, 5, 6};
+  if (name == "Dense" || name == "Dense 12x107") return {12};
+  if (name == "ElmanRNN" || name == "ElmanRNN h=12") return {1, 5, 6};
+  if (name == "Conv5/direct" || name == "Conv5/im2col") return {2, 7, 7};
   if (name == "ReLU") return {3, 5, 5};
   return {2, 6, 6};  // pools and convolutions
 }
@@ -270,6 +284,22 @@ TEST(ContractFixtures, LibraryLayersArePinned) {
       {"ElmanRNN",       DD, FST, true,  true,  true,  true,  false, P, true},
       {"ElmanRNN",       CF, INS, false, false, false, false, false, P, true},
       {"ElmanRNN",       CF, FST, false, false, false, false, false, P, true},
+      {"Conv5/direct",   DD, INS, true,  false, true,  true,  false, P, false},
+      {"Conv5/direct",   DD, FST, false, false, false, false, false, P, false},
+      {"Conv5/direct",   CF, INS, false, false, false, false, false, P, false},
+      {"Conv5/direct",   CF, FST, false, false, false, false, false, P, false},
+      {"Conv5/im2col",   DD, INS, true,  false, true,  true,  false, P, false},
+      {"Conv5/im2col",   DD, FST, false, false, false, false, false, P, false},
+      {"Conv5/im2col",   CF, INS, false, false, false, false, false, P, false},
+      {"Conv5/im2col",   CF, FST, false, false, false, false, false, P, false},
+      {"Dense 12x107",   DD, INS, true,  true,  true,  true,  false, P, false},
+      {"Dense 12x107",   DD, FST, true,  true,  true,  true,  false, P, false},
+      {"Dense 12x107",   CF, INS, false, false, false, false, false, P, false},
+      {"Dense 12x107",   CF, FST, false, false, false, false, false, P, false},
+      {"ElmanRNN h=12",  DD, INS, true,  true,  true,  true,  false, P, true},
+      {"ElmanRNN h=12",  DD, FST, true,  true,  true,  true,  false, P, true},
+      {"ElmanRNN h=12",  CF, INS, false, false, false, false, false, P, true},
+      {"ElmanRNN h=12",  CF, FST, false, false, false, false, false, P, true},
   };
   // clang-format on
   for (const Row& row : rows) {

@@ -103,6 +103,7 @@ TEST(KernelPath, ConvFastMatchesInstrumentedOnEdgeShapes) {
       {2, 6, 3, 1, 1, 8, 8},     // padded: validity-mask path in cf
       {3, 2, 5, 2, 2, 12, 10},   // strided + padded + shrinking channels
       {8, 16, 5, 1, 0, 12, 12},  // the mnist hot layer (vector-friendly)
+      {2, 5, 3, 1, 0, 7, 7},     // channel tiles of 4 and 1, 5x5 pixel tail
   };
   int index = 0;
   for (const Case& c : cases) {
@@ -124,8 +125,9 @@ TEST(KernelPath, ConvFastMatchesInstrumentedOnEdgeShapes) {
 }
 
 TEST(KernelPath, DenseFastMatchesInstrumentedOnEdgeShapes) {
-  const std::size_t out_features[] = {1, 7, 8, 9, 33, 64, 70, 96};
-  const std::size_t in_features[] = {1, 5, 64, 130};
+  // 107 = tiles of 8, 4 and 1 vectors plus a 3-wide tail.
+  const std::size_t out_features[] = {1, 7, 8, 9, 33, 64, 70, 96, 107};
+  const std::size_t in_features[] = {1, 5, 12, 64, 130};
   std::uint64_t seed = 400;
   for (std::size_t in_f : in_features) {
     for (std::size_t out_f : out_features) {
@@ -168,7 +170,7 @@ TEST(KernelPath, ActivationAndPoolingFastMatchInstrumented) {
 }
 
 TEST(KernelPath, RnnFastMatchesInstrumented) {
-  for (const std::size_t hidden : {1u, 7u, 8u, 31u, 32u, 40u}) {
+  for (const std::size_t hidden : {1u, 7u, 8u, 12u, 31u, 32u, 40u}) {
     SCOPED_TRACE(::testing::Message() << "hidden " << hidden);
     ElmanRNN rnn(8, hidden);
     util::Rng rng(600 + hidden);
