@@ -1,6 +1,6 @@
 // SymbolicEngine: the abstract interpreter behind symbolic kernel runs
-// (nn/kernels/symbolic.hpp): the instrumented kernels' own loop nests
-// instantiated over SymbolicDomain, and the fast kernels' hand models.
+// (nn/kernels/symbolic.hpp): the kernels' own loop nests, instrumented
+// and fast, instantiated over SymbolicDomain.
 //
 // Domain: per-buffer, per-element secrecy taint (two-point lattice) with
 // concrete loop trip counts — the affine index structure of the kernels
@@ -45,8 +45,7 @@ class Layer;
 namespace sce::analysis::symexec {
 
 /// Where a derived leak claim comes from: the site (file/line of the
-/// instrumented kernel, or of the fast kernel's hand model; label naming
-/// the construct) plus what the engine saw there.
+/// kernel; label naming the construct) plus what the engine saw there.
 struct Witness {
   /// "branch-outcomes" | "branch-count" | "address-stream" |
   /// "instruction-count" | "rng".

@@ -9,7 +9,9 @@ const std::string& analyzer_version() {
   // contracts change verdicts, so v1 cache entries must not be served).
   // v3: the derived contract is the only contract — no declaration to
   // fall back on for unmodeled layers and no mismatch gate.
-  static const std::string version = "analyzer-v3";
+  // v4: fast-path contracts are derived from the fast kernels' own loop
+  // nests, so their witnesses name *_fast.hpp lines.
+  static const std::string version = "analyzer-v4";
   return version;
 }
 

@@ -1,7 +1,6 @@
-// Fast ReLU: one vector compare + blend per lane group.  The scalar
-// kernels compute `v < 0 ? 0 : v` in both modes; the lane-wise blend
-// reproduces that exactly (-0.0 and NaN both fail `v < 0` and pass
-// through unchanged, as in the scalar kernel).
+// Fast ReLU: the concrete instantiation of activation_fast.hpp's loop.
+#include "nn/kernels/activation_fast.hpp"
+
 #include "nn/kernels/activation.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/simd.hpp"
@@ -10,18 +9,8 @@
 namespace sce::nn::kernels {
 
 void relu_fast(const float* in, float* out, std::size_t n) {
-  std::size_t i = 0;
-#ifdef SCE_HAVE_VECTOR_EXTENSIONS
-  const v8f zero = broadcast(0.0f);
-  for (; i + kLanes <= n; i += kLanes) {
-    const v8f v = loadu(&in[i]);
-    storeu(&out[i], select(v < zero, zero, v));
-  }
-#endif
-  for (; i < n; ++i) {
-    const float v = in[i];
-    out[i] = v < 0.0f ? 0.0f : v;
-  }
+  FastDomain d;
+  fast_kernel(d, in, out, n);
 }
 
 namespace {

@@ -1,7 +1,7 @@
-// Instrumented ReLU kernel: one loop nest over an execution domain
-// (domain.hpp), instantiated traced, untraced and symbolic.
+// Instrumented ReLU kernel (domain.hpp: traced, untraced and symbolic),
+// and the symbolic instantiation of the fast one (activation_fast.hpp).
 #include "nn/kernels/activation.hpp"
-
+#include "nn/kernels/activation_fast.hpp"
 #include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
@@ -51,9 +51,11 @@ void relu_scalar(const float* in, float* out, std::size_t n,
 
 void relu_symbolic(std::size_t n, SymbolicExecutor& exec, KernelMode mode,
                    ExecutionPath path) {
-  if (path == ExecutionPath::kFast) return relu_fast_model(n, exec);
   SymbolicDomain d(exec);
-  forward_kernel(d, nullptr, nullptr, n, mode);
+  if (path == ExecutionPath::kFast)
+    fast_kernel(d, nullptr, nullptr, n);
+  else
+    forward_kernel(d, nullptr, nullptr, n, mode);
 }
 
 namespace {

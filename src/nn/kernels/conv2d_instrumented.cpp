@@ -6,11 +6,11 @@
 // domain (domain.hpp): the simulated-machine and TraceSink instantiations
 // serve observing sinks, the DiscardSink instantiation compiles the trace
 // calls away and is the scalar path the fast kernels are measured
-// against, and the symbolic instantiation is the model the analyzer
-// derives the contract from.
+// against, and the symbolic instantiations, here and of conv2d_fast.hpp,
+// are the models the analyzer derives the contracts from.
 #include "nn/kernels/conv2d.hpp"
-
 #include "nn/conv.hpp"
+#include "nn/kernels/conv2d_fast.hpp"
 #include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
@@ -195,9 +195,10 @@ void conv2d_im2col_scalar(const Conv2DShape& s, Workspace& workspace,
 void conv2d_symbolic(const Conv2DShape& s, ConvAlgorithm algorithm,
                      SymbolicExecutor& exec, KernelMode mode,
                      ExecutionPath path) {
-  if (path == ExecutionPath::kFast) return conv2d_fast_model(s, exec);
   SymbolicDomain d(exec);
-  if (algorithm == ConvAlgorithm::kIm2col)
+  if (path == ExecutionPath::kFast)
+    fast_kernel(d, s, gemm_policy(s, algorithm, mode), nullptr, nullptr);
+  else if (algorithm == ConvAlgorithm::kIm2col)
     forward_im2col(d, s, nullptr, mode);
   else
     forward_direct(d, s, mode);

@@ -1,7 +1,7 @@
-// Instrumented Dense kernel: one loop nest over an execution domain
-// (domain.hpp), instantiated traced, untraced and symbolic.
+// Instrumented Dense kernel (domain.hpp: traced, untraced and symbolic),
+// and the symbolic instantiation of the fast one (dense_fast.hpp).
 #include "nn/kernels/dense.hpp"
-
+#include "nn/kernels/dense_fast.hpp"
 #include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
@@ -64,9 +64,11 @@ void dense_scalar(const DenseShape& s, KernelMode mode) {
 
 void dense_symbolic(const DenseShape& s, SymbolicExecutor& exec,
                     KernelMode mode, ExecutionPath path) {
-  if (path == ExecutionPath::kFast) return dense_fast_model(s, exec, mode);
   SymbolicDomain d(exec);
-  forward_kernel(d, s, mode);
+  if (path == ExecutionPath::kFast)
+    fast_kernel(d, s, mode);
+  else
+    forward_kernel(d, s, mode);
 }
 
 namespace {

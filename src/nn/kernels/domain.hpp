@@ -1,5 +1,5 @@
-// Execution domains: one loop nest per instrumented kernel, four
-// instantiations.
+// Execution domains: one loop nest per kernel, instantiated concretely
+// and symbolically.
 //
 // Each *_instrumented.cpp kernel is a template over a domain `D` and
 // touches data and control flow only through the vocabulary below.  The
@@ -18,6 +18,16 @@
 //    model *is* the kernel, so it cannot drift from it.
 // Each traced entry point picks its instantiation once per call with
 // run_traced() below; nothing else chooses between the first two.
+//
+// Each fast kernel (*_fast.hpp, a private header per kernel) is likewise
+// one loop nest, instantiated twice: concretely in its *_fast.cpp, over
+// FastDomain (simd.hpp: v8f lanes, no trace) or, for pooling and
+// softmax, which do not vectorize, over TracedDomain<uarch::DiscardSink>;
+// and over SymbolicDomain in the kernel's *_instrumented.cpp, so the
+// fast path's contract is derived from the AVX2 loop structure itself
+// (tiles, unrolling, tails).  The symbolic instantiation stays out of the
+// -mavx2 TUs, so no inline SymbolicDomain member is ever compiled for two
+// ISAs.
 //
 // Site pcs: a branch's pc indexes the branch predictor, so every
 // instantiation must report the same pc for the same site, or the two
@@ -40,6 +50,13 @@
 //                     `skip` runs when p holds, `work` otherwise
 //  select(p, a, b)    a branchless blend (cmov/maxss): no event
 //  is_zero / is_negative / greater / exp   value predicates and math
+// Fast kernels add lanes (D::Lanes: v8f, or kLanes SymValues joined
+// lane-wise): loadu / storeu (one access per lane), broadcast, lane
+// select, mac_skip_zero / mac_where (also on scalars, for the tails),
+// prefetch, copy, constant, and
+//  unless_zero(site, enabled, v, work)   the row-skip guard: `work`
+//                     runs unless `enabled` and v == 0; symbolically an
+//                     if_else with an empty skip arm, only when enabled.
 //
 // Public control flow (loop bounds, padding tests, a first-element flag)
 // stays plain C++: it depends only on the shape, which is concrete in
@@ -55,6 +72,14 @@
 #include "uarch/trace.hpp"
 
 namespace sce::nn::kernels {
+
+#if defined(__GNUC__) || defined(__clang__)
+#define SCE_HAVE_VECTOR_EXTENSIONS 1
+/// Lanes per vector in the fast kernels (eight floats: one AVX register).
+inline constexpr std::size_t kLanes = 8;
+#else
+inline constexpr std::size_t kLanes = 1;
+#endif
 
 /// One static branch site of a kernel: the pseudo-PC the branch
 /// predictor indexes by, and the source location the analyzer names as
@@ -185,11 +210,34 @@ inline SymValue operator*(SymValue a, SymValue b) { return join(a, b); }
 inline SymValue operator/(SymValue a, SymValue b) { return join(a, b); }
 inline SymValue operator*(SymValue a, float) { return a; }
 
-/// Symbolic domain: a non-virtual forwarding layer over the executor, so
-/// a kernel costs the engine the same calls a hand-written model would.
+/// The symbolic counterpart of a v8f: one taint per lane.
+struct SymLanes {
+  SymValue lane[kLanes];
+};
+
+inline SymLanes join(const SymLanes& a, const SymLanes& b) {
+  SymLanes r;
+  for (std::size_t k = 0; k < kLanes; ++k)
+    r.lane[k] = join(a.lane[k], b.lane[k]);
+  return r;
+}
+
+// Lane arithmetic and comparisons on taints: lane-wise join.
+inline SymLanes operator+(const SymLanes& a, const SymLanes& b) {
+  return join(a, b);
+}
+inline SymLanes operator*(const SymLanes& a, const SymLanes& b) {
+  return join(a, b);
+}
+inline SymLanes operator<(const SymLanes& a, const SymLanes& b) {
+  return join(a, b);
+}
+
+/// Symbolic domain: a non-virtual forwarding layer over the executor.
 class SymbolicDomain {
  public:
   using Value = SymValue;
+  using Lanes = SymLanes;
 
   explicit SymbolicDomain(SymbolicExecutor& exec) : exec_(exec) {}
 
@@ -225,13 +273,55 @@ class SymbolicDomain {
     exec_.if_else(site.witness, p, skip, work);
   }
 
-  static SymValue select(SymValue p, SymValue a, SymValue b) {
-    return join(p, a, b);
+  /// A blend, on scalars or lanes: taints join.
+  template <typename T>
+  static T select(const T& p, const T& a, const T& b) {
+    return join(join(p, a), b);
   }
   static SymValue is_zero(SymValue v) { return v; }
   static SymValue is_negative(SymValue v) { return v; }
   static SymValue greater(SymValue a, SymValue b) { return join(a, b); }
   static SymValue exp(SymValue v) { return v; }
+
+  // -- the fast kernels' vocabulary --------------------------------------
+
+  SymLanes loadu(SymRef r, std::size_t i) {
+    SymLanes v;
+    for (std::size_t k = 0; k < kLanes; ++k) v.lane[k] = load(r, i + k);
+    return v;
+  }
+  void storeu(SymRef r, std::size_t i, const SymLanes& v) {
+    for (std::size_t k = 0; k < kLanes; ++k) store(r, i + k, v.lane[k]);
+  }
+  void copy(SymRef dst, SymRef src, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) store(dst, i, load(src, i));
+  }
+  static void prefetch(SymRef, std::size_t) {}
+  static SymValue constant(float) { return {}; }
+
+  static SymLanes broadcast(SymValue v) {
+    SymLanes r;
+    for (SymValue& lane : r.lane) lane = v;
+    return r;
+  }
+  // The skip-aware accumulates, on scalars (tails) or lanes: taints join.
+  template <typename T>
+  static T mac_skip_zero(const T& acc, const T& v, const T& w) {
+    return join(join(acc, v), w);
+  }
+  template <typename T>
+  static T mac_where(const T& valid, const T& acc, const T& v, const T& w) {
+    return join(join(join(valid, acc), v), w);
+  }
+
+  template <typename Work>
+  void unless_zero(const KernelSite& site, bool enabled, SymValue v,
+                   Work&& work) {
+    if (enabled)
+      exec_.if_else(site.witness, v, [] {}, work);
+    else
+      work();
+  }
 
  private:
   SymbolicExecutor& exec_;

@@ -1,52 +1,23 @@
-// Fast pooling: the scalar recurrences with no trace machinery.  The
-// window gather is strided (no contiguous lanes to load) and pooling is
-// noise next to conv/dense, so there is nothing to vectorize profitably;
-// the win over the instrumented path is simply a tight loop the compiler
-// can schedule freely.  Element order is preserved exactly (wy-major,
-// wx), so max ties (-0.0 vs +0.0, NaN propagation) and the average's
-// accumulation order match the instrumented kernels bit for bit.
-#include "nn/kernels/pooling.hpp"
+// Fast pooling: the untraced instantiations of pooling_fast.hpp's loop
+// nests.  This TU builds for the baseline ISA, like the instrumented
+// kernels, so it runs over their untraced domain.
+#include "nn/kernels/pooling_fast.hpp"
+
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
 
 void maxpool2d_fast(const Pool2DShape& s) {
-  for (std::size_t c = 0; c < s.channels; ++c) {
-    for (std::size_t oy = 0; oy < s.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < s.out_w; ++ox) {
-        const std::size_t base =
-            (c * s.in_h + oy * s.window) * s.in_w + ox * s.window;
-        float best = s.in[base];
-        for (std::size_t wy = 0; wy < s.window; ++wy) {
-          const float* row = &s.in[base + wy * s.in_w];
-          for (std::size_t wx = wy == 0 ? 1 : 0; wx < s.window; ++wx) {
-            const float v = row[wx];
-            best = v > best ? v : best;
-          }
-        }
-        s.out[(c * s.out_h + oy) * s.out_w + ox] = best;
-      }
-    }
-  }
+  uarch::DiscardSink sink;
+  TracedDomain d(sink);
+  fast_maxpool(d, s);
 }
 
 void avgpool2d_fast(const Pool2DShape& s) {
-  const float inv_area = 1.0f / static_cast<float>(s.window * s.window);
-  for (std::size_t c = 0; c < s.channels; ++c) {
-    for (std::size_t oy = 0; oy < s.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < s.out_w; ++ox) {
-        const std::size_t base =
-            (c * s.in_h + oy * s.window) * s.in_w + ox * s.window;
-        float sum = 0.0f;
-        for (std::size_t wy = 0; wy < s.window; ++wy) {
-          const float* row = &s.in[base + wy * s.in_w];
-          for (std::size_t wx = 0; wx < s.window; ++wx) sum += row[wx];
-        }
-        s.out[(c * s.out_h + oy) * s.out_w + ox] = sum * inv_area;
-      }
-    }
-  }
+  uarch::DiscardSink sink;
+  TracedDomain d(sink);
+  fast_avgpool(d, s);
 }
 
 namespace {

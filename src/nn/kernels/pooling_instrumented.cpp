@@ -1,8 +1,8 @@
-// Instrumented pooling kernels: one loop nest each over an execution
-// domain (domain.hpp), instantiated traced, untraced and symbolic.
+// Instrumented pooling kernels (domain.hpp: traced, untraced, symbolic),
+// and the symbolic instantiations of the fast ones (pooling_fast.hpp).
 #include "nn/kernels/pooling.hpp"
-
 #include "nn/kernels/domain.hpp"
+#include "nn/kernels/pooling_fast.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
@@ -98,9 +98,11 @@ void maxpool2d_scalar(const Pool2DShape& s, KernelMode mode) {
 
 void maxpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
                         KernelMode mode, ExecutionPath path) {
-  if (path == ExecutionPath::kFast) return maxpool2d_fast_model(s, exec);
   SymbolicDomain d(exec);
-  maxpool_kernel(d, s, mode);
+  if (path == ExecutionPath::kFast)
+    fast_maxpool(d, s);
+  else
+    maxpool_kernel(d, s, mode);
 }
 
 void avgpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink) {
@@ -115,9 +117,11 @@ void avgpool2d_scalar(const Pool2DShape& s) {
 
 void avgpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
                         ExecutionPath path) {
-  if (path == ExecutionPath::kFast) return avgpool2d_fast_model(s, exec);
   SymbolicDomain d(exec);
-  avgpool_kernel(d, s);
+  if (path == ExecutionPath::kFast)
+    fast_avgpool(d, s);
+  else
+    avgpool_kernel(d, s);
 }
 
 namespace {

@@ -1,8 +1,8 @@
-// Instrumented Elman RNN kernel: one loop nest over an execution domain
-// (domain.hpp), instantiated traced, untraced and symbolic.
+// Instrumented Elman RNN kernel and fast kernel's symbolic instantiation.
 #include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/rnn.hpp"
+#include "nn/kernels/rnn_fast.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
@@ -90,9 +90,11 @@ void rnn_scalar(const RnnShape& s, KernelMode mode) {
 
 void rnn_symbolic(const RnnShape& s, SymbolicExecutor& exec, KernelMode mode,
                   ExecutionPath path) {
-  if (path == ExecutionPath::kFast) return rnn_fast_model(s, exec, mode);
   SymbolicDomain d(exec);
-  forward_kernel(d, s, mode);
+  if (path == ExecutionPath::kFast)
+    fast_kernel(d, s, mode);
+  else
+    forward_kernel(d, s, mode);
 }
 
 namespace {

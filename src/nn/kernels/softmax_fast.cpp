@@ -1,7 +1,7 @@
-// Fast softmax: the same three scalar passes with the trace machinery
-// compiled out.  exp() dominates; the reductions keep their sequential
-// order so every intermediate rounds identically.
-#include <cmath>
+// Fast softmax: the untraced instantiation of softmax_fast.hpp's loop
+// nest.  This TU builds for the baseline ISA, like the instrumented
+// kernels, so it runs over their untraced domain.
+#include "nn/kernels/softmax_fast.hpp"
 
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/softmax.hpp"
@@ -10,15 +10,9 @@
 namespace sce::nn::kernels {
 
 void softmax_fast(const float* x, float* y, std::size_t n) {
-  float max_v = x[0];
-  for (std::size_t i = 0; i < n; ++i)
-    if (x[i] > max_v) max_v = x[i];
-  float sum = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = std::exp(x[i] - max_v);
-    sum += y[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) y[i] /= sum;
+  uarch::DiscardSink sink;
+  TracedDomain d(sink);
+  fast_kernel(d, x, y, n);
 }
 
 namespace {

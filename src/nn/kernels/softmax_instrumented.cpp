@@ -1,8 +1,8 @@
-// Instrumented softmax kernel: one loop nest over an execution domain
-// (domain.hpp), instantiated traced, untraced and symbolic.
+// Instrumented softmax kernel and the fast kernel's symbolic instantiation.
 #include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/softmax.hpp"
+#include "nn/kernels/softmax_fast.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
@@ -55,9 +55,11 @@ void softmax_scalar(const float* in, float* out, std::size_t n) {
 
 void softmax_symbolic(std::size_t n, SymbolicExecutor& exec,
                       ExecutionPath path) {
-  if (path == ExecutionPath::kFast) return softmax_fast_model(n, exec);
   SymbolicDomain d(exec);
-  forward_kernel(d, nullptr, nullptr, n);
+  if (path == ExecutionPath::kFast)
+    fast_kernel(d, nullptr, nullptr, n);
+  else
+    forward_kernel(d, nullptr, nullptr, n);
 }
 
 namespace {

@@ -8,27 +8,21 @@
 // the secret input.  That derived LeakageContract is the layer's
 // contract.
 //
-// Where a kernel's symbolic run comes from, per execution path:
-//  * Instrumented kernels are their own model.  Each is one loop nest
-//    over an execution domain (domain.hpp); its SymbolicDomain
-//    instantiation emits exactly the sites, events and guarded regions
-//    the traced instantiation reports to a sink, and witnesses name the
-//    kernel's own source lines.
-//  * Fast kernels keep hand-written models (symbolic_models.cpp) that
-//    mirror the *source structure of the generated code* (a lane blend
-//    is branchless; a scalar row-skip is a real branch; a source loop
-//    inside a skipped region counts as structural branches even if the
-//    compiler unrolls it — conservative in the direction that never
-//    hides a leak).
+// Every kernel is its own model, on both execution paths.  Each is one
+// loop nest over an execution domain (domain.hpp), and its
+// SymbolicDomain instantiation emits exactly the sites, accesses and
+// guarded regions its concrete instantiation executes; witnesses name
+// the kernel's own source lines.  On the fast path that is the AVX2 loop
+// structure itself: a lane blend is branchless, a scalar row-skip is a
+// real branch, and a source loop inside a skipped region counts as
+// structural branches even if the compiler unrolls it (conservative in
+// the direction that never hides a leak).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
-#include <string>
 #include <type_traits>
-#include <vector>
 
 #include "nn/kernels/execution_path.hpp"
 
@@ -74,18 +68,14 @@ struct SymBuffer {
 };
 
 /// Source location of a leak-relevant construct: a kernel line (through
-/// SCE_KERNEL_SITE, domain.hpp) or a line of a hand-written fast model.
-/// The label names the construct (e.g. "dense row-skip (x[i]==0)").
+/// SCE_KERNEL_SITE, domain.hpp) or a line of a custom layer's symbolic
+/// model.  The label names the construct (e.g. "dense row-skip
+/// (x[i]==0)").
 struct SymSite {
   const char* file = "";
   int line = 0;
   const char* label = "";
 };
-
-/// A site of a hand-written model or custom layer; kernels use
-/// SCE_KERNEL_SITE, which also yields the branch predictor's pc.
-#define SCE_SYM_SITE(label) \
-  (::sce::nn::kernels::SymSite{__FILE__, __LINE__, (label)})
 
 /// A non-owning reference to a `void()` callable: one arm of an
 /// `if_else`.  Binding a lambda copies two pointers and never allocates.
@@ -116,8 +106,8 @@ class ArmRef {
 /// *execution* depends on a predicate (`if_else`), which is what turns
 /// value taint into count/address variance.
 ///
-/// Contract for hand-written models (kernels reach the executor through
-/// SymbolicDomain, which follows it by construction):
+/// Contract for a custom layer's hand-written model (kernels reach the
+/// executor through SymbolicDomain, which follows it by construction):
 ///  * Use `load`/`store` for accesses the real kernel performs (traced
 ///    or machine-level), `value`/`assign` for taint bookkeeping with no
 ///    memory traffic (views, register copies).
@@ -178,10 +168,9 @@ class SymbolicExecutor {
 };
 
 /// Symbolic run of each registered op for (mode, path), reading only the
-/// geometry of the kernel shape struct (its pointers are ignored).  The
-/// instrumented path instantiates the kernel's own loop nest over
-/// SymbolicDomain (defined next to it in *_instrumented.cpp); the fast
-/// path runs the fast kernel's hand-written model below.
+/// geometry of the kernel shape struct (its pointers are ignored): the
+/// kernel's own loop nest for that path, instantiated over
+/// SymbolicDomain in its *_instrumented.cpp.
 void conv2d_symbolic(const Conv2DShape& s, ConvAlgorithm algorithm,
                      SymbolicExecutor& exec, KernelMode mode,
                      ExecutionPath path);
@@ -197,42 +186,5 @@ void softmax_symbolic(std::size_t n, SymbolicExecutor& exec,
                       ExecutionPath path);
 void rnn_symbolic(const RnnShape& s, SymbolicExecutor& exec, KernelMode mode,
                   ExecutionPath path);
-
-/// Hand-written models of the fast kernels (symbolic_models.cpp).  Both
-/// conv2d algorithms lower onto one fast GEMM, so one model serves both.
-void conv2d_fast_model(const Conv2DShape& s, SymbolicExecutor& exec);
-void dense_fast_model(const DenseShape& s, SymbolicExecutor& exec,
-                      KernelMode mode);
-void relu_fast_model(std::size_t n, SymbolicExecutor& exec);
-void maxpool2d_fast_model(const Pool2DShape& s, SymbolicExecutor& exec);
-void avgpool2d_fast_model(const Pool2DShape& s, SymbolicExecutor& exec);
-void softmax_fast_model(std::size_t n, SymbolicExecutor& exec);
-void rnn_fast_model(const RnnShape& s, SymbolicExecutor& exec,
-                    KernelMode mode);
-
-/// Registry of the hand-modeled (op, mode, fast) cells, self-registered
-/// by symbolic_models.cpp the way kernel TUs register KernelEntries.  The
-/// completeness test walks the fast cells of kernels::all_kernels() and
-/// requires has_symbolic_model for each, so a new fast kernel cannot
-/// land unanalyzed.  Instrumented cells need no entry: their symbolic
-/// run is the kernel itself.
-struct SymbolicModelEntry {
-  const char* op;
-  KernelMode mode;
-  ExecutionPath path;
-};
-
-bool has_symbolic_model(const std::string& op, KernelMode mode,
-                        ExecutionPath path);
-
-/// Every modeled cell, sorted by (op, mode, path).
-std::vector<SymbolicModelEntry> all_symbolic_models();
-
-namespace detail {
-struct SymbolicModelRegistration {
-  explicit SymbolicModelRegistration(
-      std::initializer_list<SymbolicModelEntry> entries);
-};
-}  // namespace detail
 
 }  // namespace sce::nn::kernels

@@ -106,9 +106,8 @@ class Layer {
   /// Run this layer's (mode, path) kernel against a symbolic executor
   /// (nn/kernels/symbolic.hpp).  The analyzer derives the layer's leakage
   /// contract from this run (analysis::symexec::derive_layer_contract).
-  /// Every layer in this library overrides it: the instrumented path runs
-  /// the kernel's own symbolic instantiation, the fast path its
-  /// hand-written model.  The base default reports the layer as
+  /// Every layer in this library overrides it: each path runs its own
+  /// kernel's symbolic instantiation.  The base default reports the layer as
   /// unmodeled, which the analyzer treats as the worst case
   /// (LeakageContract::undeclared()).
   virtual void symbolic_forward(kernels::SymbolicExecutor& exec,

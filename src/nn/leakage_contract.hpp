@@ -63,8 +63,8 @@ struct LeakageContract {
   /// Which execution path these claims describe.  Only the instrumented
   /// path emits trace events, so only its contracts can be (and are)
   /// cross-validated by the uarch trace oracle; fast-path contracts come
-  /// from hand-written models of the generated code, which the analyzer
-  /// reports as unverified unless the symbolic verifier anchors them.
+  /// from the fast kernels' symbolic runs, which the analyzer reports as
+  /// unverified unless the symbolic verifier anchors them.
   ExecutionPath path = ExecutionPath::kInstrumented;
   /// Verification metadata, stamped by the symbolic verifier: on the fast
   /// path, this contract refines the layer's derived instrumented

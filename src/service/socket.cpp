@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -193,18 +194,33 @@ void SocketFrontEnd::serve() {
     } catch (const IoError&) {
       break;  // listener closed by stop()
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) break;
-    live_fds_.insert(client.fd());
-    connections_.emplace_back(
-        [this, socket = std::move(client)]() mutable {
-          handle_connection(std::move(socket));
-        });
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_) break;
+      // A handler lists itself under mutex_, which is held here while its
+      // thread is stored, so each finished id is in connections_.
+      for (const std::thread::id id : finished_) {
+        const auto it = std::find_if(
+            connections_.begin(), connections_.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        finished.push_back(std::move(*it));
+        connections_.erase(it);
+      }
+      finished_.clear();
+      live_fds_.insert(client.fd());
+      connections_.emplace_back(
+          [this, socket = std::move(client)]() mutable {
+            handle_connection(std::move(socket));
+          });
+    }
+    for (std::thread& t : finished) t.join();
   }
   std::vector<std::thread> drain;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     drain.swap(connections_);
+    finished_.clear();
   }
   for (std::thread& t : drain) t.join();
 }
@@ -229,6 +245,7 @@ void SocketFrontEnd::handle_connection(UnixSocket socket) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   live_fds_.erase(fd);
+  finished_.push_back(std::this_thread::get_id());
 }
 
 void SocketFrontEnd::stop() {

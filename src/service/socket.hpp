@@ -75,7 +75,9 @@ class UnixListener {
 /// The service's socket front end: accept loop + per-connection request
 /// threads.  serve() blocks until a client sends the shutdown verb or
 /// stop() is called from another thread; either way it drains connection
-/// threads before returning.
+/// threads before returning.  While serving, each accept first joins the
+/// handlers that have finished, so a long-running server keeps only its
+/// live connections' threads.
 class SocketFrontEnd {
  public:
   SocketFrontEnd(EvaluationServer& server, const std::string& socket_path);
@@ -101,6 +103,8 @@ class SocketFrontEnd {
   std::mutex mutex_;
   bool stopping_ = false;
   std::vector<std::thread> connections_;
+  /// Handlers that have returned but are not joined yet.
+  std::vector<std::thread::id> finished_;
   /// Live connection fds, shut down on stop() so handlers blocked in
   /// recv_frame (idle tenants) or long polls wind down promptly.
   std::set<int> live_fds_;

@@ -9,6 +9,7 @@
 
 #include "nn/kernels/symbolic.hpp"
 #include "nn/layer.hpp"
+#include "tests/analysis/sym_site.hpp"
 #include "tests/uarch/branch_site.hpp"
 #include "util/error.hpp"
 

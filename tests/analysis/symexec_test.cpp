@@ -1,12 +1,11 @@
 // Symbolic kernel verifier: the static half of contract verification.
 //
-// These tests pin the three integration claims of the symbolic engine:
-// (1) every registered kernel cell has a symbolic model, so nothing
-// ships unanalyzed; (2) every zoo layer's analyzed contract is the one
-// derived from its model, in every (mode, path) cell — and, on the
-// instrumented path, it agrees with what the dynamic trace oracle
-// actually observes; (3) the fast path is symbolically verified end to
-// end, closing the oracle-unverified gap.  Plus the edge cases the
+// These tests pin the two integration claims of the symbolic engine:
+// (1) every zoo layer's analyzed contract is the one derived from its
+// kernel, in every (mode, path) cell — and, on the instrumented path, it
+// agrees with what the dynamic trace oracle actually observes; (2) the
+// fast path is symbolically verified end to end, closing the
+// oracle-unverified gap.  Plus the edge cases the
 // abstract domain must not trip over: degenerate geometries, sanitizing
 // layers, RNG draws and layers with no model at all.  Last, the engine
 // driven directly: the arm-diff semantics its allocation-free if_else
@@ -26,10 +25,10 @@
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
-#include "nn/kernels/registry.hpp"
 #include "nn/kernels/symbolic.hpp"
 #include "nn/zoo.hpp"
 #include "tests/analysis/analysis_test_helpers.hpp"
+#include "tests/analysis/sym_site.hpp"
 #include "util/alloc_hook.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -59,31 +58,6 @@ std::vector<ZooEntry> zoo() {
   util::Rng rng(7);
   for (ZooEntry& e : entries) e.model.initialize(rng);
   return entries;
-}
-
-// ---------------------------------------------------------------------
-// Registry completeness: a fast kernel cell without a hand-written
-// symbolic model is a hole in the static story, and must be a test
-// failure, not a silent fallback to the worst case.
-// Instrumented cells need no entry — each kernel is its own model.
-
-TEST(SymbolicRegistry, CoversEveryRegisteredKernelCell) {
-  std::size_t fast_cells = 0;
-  for (const nn::kernels::KernelEntry& e : nn::kernels::all_kernels()) {
-    if (e.path != ExecutionPath::kFast) continue;
-    ++fast_cells;
-    EXPECT_TRUE(nn::kernels::has_symbolic_model(e.op, e.mode, e.path))
-        << e.op << " (" << nn::to_string(e.mode) << ", "
-        << nn::to_string(e.path) << ") has no symbolic model";
-  }
-  ASSERT_GT(fast_cells, 0u);
-  // And nothing phantom: the model registry is exactly the fast grid.
-  EXPECT_EQ(nn::kernels::all_symbolic_models().size(), fast_cells);
-}
-
-TEST(SymbolicRegistry, UnknownCellsAreAbsent) {
-  EXPECT_FALSE(nn::kernels::has_symbolic_model(
-      "no-such-op", KernelMode::kDataDependent, ExecutionPath::kFast));
 }
 
 // ---------------------------------------------------------------------

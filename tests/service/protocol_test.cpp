@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "hpc/instrument_factory.hpp"
@@ -232,6 +234,54 @@ TEST(Socket, DeepFrameIsRejectedAndServingContinues) {
     const util::JsonValue shutdown = util::parse_json(
         request_reply(client, make_shutdown_request()));
     EXPECT_TRUE(shutdown.at("ok").as_bool());
+  }
+  serving.join();
+}
+
+/// This process's virtual size in KiB (the VmSize line of
+/// /proc/self/status).
+long vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return 0;
+}
+
+TEST(Socket, FinishedConnectionThreadsAreReaped) {
+  // Every connection runs on its own thread.  A finished one must be
+  // joined while serve() keeps accepting, or each keeps its stack (8 MiB
+  // by default) mapped until the server shuts down.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sce_socket_reap.sock")
+          .string();
+  EvaluationServer server(test_server_config("socketreap"));
+  SocketFrontEnd front_end(server, path);
+  std::thread serving([&front_end] { front_end.serve(); });
+
+  const auto one_connection = [&path] {
+    UnixSocket client = UnixSocket::connect_to(path);
+    EXPECT_TRUE(util::parse_json(request_reply(client, make_stats_request()))
+                    .at("ok")
+                    .as_bool());
+  };
+  // Warm up: the first handlers also create malloc arenas (64 MiB of
+  // address space each) that later handlers reuse.  A handler that starts
+  // before its predecessor has exited can still add one, so the bound
+  // leaves room for a few arenas; 64 leaked stacks take 512 MiB.
+  for (int i = 0; i < 16; ++i) one_connection();
+  const long before = vm_size_kib();
+  for (int i = 0; i < 64; ++i) one_connection();  // one at a time
+  const long grown_kib = vm_size_kib() - before;
+  EXPECT_LT(grown_kib, 256 * 1024)
+      << "64 sequential connections grew the virtual size by " << grown_kib
+      << " KiB";
+
+  {
+    UnixSocket client = UnixSocket::connect_to(path);
+    EXPECT_TRUE(util::parse_json(request_reply(client, make_shutdown_request()))
+                    .at("ok")
+                    .as_bool());
   }
   serving.join();
 }

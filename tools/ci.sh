@@ -14,7 +14,9 @@
 # objects never mix.  The TSan pass covers the code that runs on more
 # than one thread: the thread pool, the sharded campaign executor (which
 # also runs the fixed-vs-random screen), supervision (watchdog, cancel,
-# failover) and the sweep's replay fan-out.
+# failover), the sweep's replay fan-out, and the evaluation service (its
+# executors, the socket front end's per-connection threads and the
+# protocol's long polls).
 #
 # Set SCE_CI_SKIP_SANITIZERS=1 to run only the plain suite (useful on
 # hosts whose toolchain lacks the sanitizer runtimes).  A toolchain
@@ -173,7 +175,7 @@ else
      cc -fsanitize=thread -x c - -o /dev/null 2>/dev/null; then
     echo "==> running concurrency tests under thread sanitizer"
     "$SRC_DIR/tools/run_sanitized_tests.sh" "thread" "${BUILD_DIR}-tsan" \
-      'ThreadPool|CampaignParallel|FixedVsRandom|FvrSupervision|Sweep|Supervision'
+      'ThreadPool|CampaignParallel|FixedVsRandom|FvrSupervision|Sweep|Supervision|EvaluationServer|Socket|Protocol|Watchdog'
   else
     echo "==> toolchain lacks libtsan: skipping TSan stage"
   fi
