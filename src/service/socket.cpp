@@ -165,6 +165,10 @@ UnixSocket UnixListener::accept() {
   }
 }
 
+void UnixListener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void UnixListener::close() {
   if (fd_ >= 0) {
     // shutdown() first so a thread blocked in accept() wakes with an
@@ -221,6 +225,7 @@ void SocketFrontEnd::serve() {
     std::lock_guard<std::mutex> lock(mutex_);
     drain.swap(connections_);
     finished_.clear();
+    listener_.close();
   }
   for (std::thread& t : drain) t.join();
 }
@@ -257,9 +262,11 @@ void SocketFrontEnd::stop() {
     // down trips every job token, which unblocks wait()-style verbs;
     // shutting the fds down unblocks idle reads.
     for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
+    // Wake serve() out of accept(); serve() closes the listener itself,
+    // since closing it here would race with its accept().
+    listener_.shutdown();
   }
   server_.shutdown();
-  listener_.close();
 }
 
 std::string request_reply(UnixSocket& socket, const std::string& request) {

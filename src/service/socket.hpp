@@ -62,7 +62,11 @@ class UnixListener {
 
   /// Block for the next connection; throws IoError once closed.
   UnixSocket accept();
-  /// Close the listening fd (unblocks accept) and unlink the path.
+  /// Make a blocked or later accept() throw, without closing the fd, so
+  /// another thread may call it while accept() runs.
+  void shutdown();
+  /// Close the listening fd (unblocks accept) and unlink the path.  Call
+  /// it from the thread that accepts, or once that thread is done.
   void close();
 
   const std::string& path() const { return path_; }
@@ -75,7 +79,7 @@ class UnixListener {
 /// The service's socket front end: accept loop + per-connection request
 /// threads.  serve() blocks until a client sends the shutdown verb or
 /// stop() is called from another thread; either way it drains connection
-/// threads before returning.  While serving, each accept first joins the
+/// threads and closes the listener before returning.  While serving, each accept first joins the
 /// handlers that have finished, so a long-running server keeps only its
 /// live connections' threads.
 class SocketFrontEnd {
