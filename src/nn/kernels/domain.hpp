@@ -12,22 +12,21 @@
 //    the trace oracle);
 //  * TracedDomain<uarch::DiscardSink> — the same loop with every trace
 //    call compiled away (the scalar path the fast kernels are measured
-//    against);
+//    against, and the fast path itself for pooling and softmax, which do
+//    not vectorize);
 //  * SymbolicDomain — secrecy taints over a SymbolicExecutor, from which
 //    the analyzer derives the kernel's LeakageContract.  The symbolic
 //    model *is* the kernel, so it cannot drift from it.
 // Each traced entry point picks its instantiation once per call with
 // run_traced() below; nothing else chooses between the first two.
 //
-// Each fast kernel (*_fast.hpp, a private header per kernel) is likewise
-// one loop nest, instantiated twice: concretely in its *_fast.cpp, over
-// FastDomain (simd.hpp: v8f lanes, no trace) or, for pooling and
-// softmax, which do not vectorize, over TracedDomain<uarch::DiscardSink>;
-// and over SymbolicDomain in the kernel's *_instrumented.cpp, so the
-// fast path's contract is derived from the AVX2 loop structure itself
-// (tiles, unrolling, tails).  The symbolic instantiation stays out of the
-// -mavx2 TUs, so no inline SymbolicDomain member is ever compiled for two
-// ISAs.
+// Each vectorized fast kernel (*_fast.hpp, a private header per kernel)
+// is likewise one loop nest, instantiated twice: concretely in its
+// *_fast.cpp, over FastDomain (simd.hpp: v8f lanes, no trace), and over
+// SymbolicDomain in the kernel's *_instrumented.cpp, so the fast path's
+// contract is derived from the AVX2 loop structure itself (tiles,
+// unrolling, tails).  The symbolic instantiation stays out of the -mavx2
+// TUs, so no inline SymbolicDomain member is ever compiled for two ISAs.
 //
 // Site pcs: a branch's pc indexes the branch predictor, so every
 // instantiation must report the same pc for the same site, or the two
@@ -58,7 +57,7 @@
 //                     runs unless `enabled` and v == 0; symbolically an
 //                     if_else with an empty skip arm, only when enabled.
 //
-// Public control flow (loop bounds, padding tests, a first-element flag)
+// Public control flow (loop bounds, padding tests, tile and tail choice)
 // stays plain C++: it depends only on the shape, which is concrete in
 // every domain.
 #pragma once

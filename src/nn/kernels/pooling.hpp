@@ -3,9 +3,8 @@
 //
 // Window elements are gathered at stride `window` per output pixel, which
 // defeats contiguous vector loads, and pooling is a vanishing fraction of
-// inference cost next to conv/dense — so the fast kernels are the scalar
-// recurrences with the trace machinery compiled out, kept bit-identical
-// by construction (same element order, same compare/accumulate ops).
+// inference cost next to conv/dense — so the fast kernels are the
+// instrumented loop nests run untraced, bit-identical by construction.
 #pragma once
 
 #include <cstddef>

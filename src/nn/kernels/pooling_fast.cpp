@@ -1,24 +1,19 @@
-// Fast pooling: the untraced instantiations of pooling_fast.hpp's loop
-// nests.  This TU builds for the baseline ISA, like the instrumented
-// kernels, so it runs over their untraced domain.
-#include "nn/kernels/pooling_fast.hpp"
-
+// Fast pooling: the instrumented loop nests run over their untraced
+// domain, branchless (constant-flow) in both modes.  The window gather is
+// strided, with no contiguous lanes to load, and pooling is noise next to
+// conv/dense, so a vector kernel would buy nothing; one loop nest serves
+// both paths, and the fast path's contract is derived from it.
+#include "nn/kernels/pooling.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
 
 void maxpool2d_fast(const Pool2DShape& s) {
-  uarch::DiscardSink sink;
-  TracedDomain d(sink);
-  fast_maxpool(d, s);
+  maxpool2d_scalar(s, KernelMode::kConstantFlow);
 }
 
-void avgpool2d_fast(const Pool2DShape& s) {
-  uarch::DiscardSink sink;
-  TracedDomain d(sink);
-  fast_avgpool(d, s);
-}
+void avgpool2d_fast(const Pool2DShape& s) { avgpool2d_scalar(s); }
 
 namespace {
 const detail::KernelRegistration registration{

@@ -1,8 +1,8 @@
-// Instrumented pooling kernels (domain.hpp: traced, untraced, symbolic),
-// and the symbolic instantiations of the fast ones (pooling_fast.hpp).
+// Instrumented pooling kernels: one loop nest each over an execution
+// domain (domain.hpp), instantiated traced, untraced and symbolic.
 #include "nn/kernels/pooling.hpp"
+
 #include "nn/kernels/domain.hpp"
-#include "nn/kernels/pooling_fast.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
@@ -21,20 +21,20 @@ void maxpool_kernel(D& d, const Pool2DShape& s, KernelMode mode) {
   for (std::size_t c = 0; c < s.channels; ++c) {
     for (std::size_t oy = 0; oy < s.out_h; ++oy) {
       for (std::size_t ox = 0; ox < s.out_w; ++ox) {
-        Value best{};
-        bool first = true;
+        // The window's first element seeds the max and the scan starts
+        // past it: no per-element first-element test, so the untraced
+        // instantiation, which is also the fast path, stays a tight loop.
+        const std::size_t base =
+            (c * s.in_h + oy * s.window) * s.in_w + ox * s.window;
+        Value best = d.load(in, base);
+        d.retire(kLoopOverhead);
         for (std::size_t wy = 0; wy < s.window; ++wy) {
-          for (std::size_t wx = 0; wx < s.window; ++wx) {
-            const std::size_t idx =
-                (c * s.in_h + (oy * s.window + wy)) * s.in_w +
-                (ox * s.window + wx);
-            const Value v = d.load(in, idx);
-            if (first) {
-              best = v;
-              first = false;
-              d.retire(kLoopOverhead);
-              continue;
-            }
+          const std::size_t row = base + wy * s.in_w;
+          for (std::size_t wx = wy == 0 ? 1 : 0; wx < s.window; ++wx) {
+            // Wy-major element order: the output's bits depend on it
+            // (max ties between -0.0 and +0.0, NaN propagation).
+            const Value v = d.load(in, row + wx);
+
             const auto update = d.greater(v, best);
             if (mode == KernelMode::kDataDependent) {
               // Which window element is the max depends on the data; the
@@ -99,10 +99,10 @@ void maxpool2d_scalar(const Pool2DShape& s, KernelMode mode) {
 void maxpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
                         KernelMode mode, ExecutionPath path) {
   SymbolicDomain d(exec);
-  if (path == ExecutionPath::kFast)
-    fast_maxpool(d, s);
-  else
-    maxpool_kernel(d, s, mode);
+  // The fast path's max is branchless in either mode (pooling_fast.cpp).
+  maxpool_kernel(d, s, path == ExecutionPath::kFast
+                           ? KernelMode::kConstantFlow
+                           : mode);
 }
 
 void avgpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink) {
@@ -116,12 +116,9 @@ void avgpool2d_scalar(const Pool2DShape& s) {
 }
 
 void avgpool2d_symbolic(const Pool2DShape& s, SymbolicExecutor& exec,
-                        ExecutionPath path) {
+                        ExecutionPath) {
   SymbolicDomain d(exec);
-  if (path == ExecutionPath::kFast)
-    fast_avgpool(d, s);
-  else
-    avgpool_kernel(d, s);
+  avgpool_kernel(d, s);
 }
 
 namespace {

@@ -30,7 +30,6 @@
 // tails' twins, so a tail element computes exactly what a lane would.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -78,8 +77,6 @@ class FastDomain {
 
   static float select(bool p, float a, float b) { return p ? a : b; }
   static bool is_negative(float v) { return v < 0.0f; }
-  static bool greater(float a, float b) { return a > b; }
-  static float exp(float v) { return std::exp(v); }
 
   static float mac_skip_zero(float acc, float v, float w) {
     return v == 0.0f ? acc : acc + v * w;

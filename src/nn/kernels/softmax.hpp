@@ -1,7 +1,7 @@
 // Softmax kernel family (numerically stable exp-normalize over a rank-1
 // tensor).  Both kernel modes run identical code — softmax has no useful
 // data-dependent shortcut — so the kernels take no mode parameter.  The
-// fast kernel is the same three scalar passes untraced: the libm exp()
+// fast kernel is the instrumented loop nest run untraced: the libm exp()
 // calls dominate and the max/sum reductions are order-sensitive, so
 // vectorizing would either change bits or buy nothing.
 #pragma once

@@ -1,8 +1,8 @@
-// Instrumented softmax kernel and the fast kernel's symbolic instantiation.
+// Instrumented softmax kernel: one loop nest over an execution domain
+// (domain.hpp), instantiated traced, untraced and symbolic.
 #include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/softmax.hpp"
-#include "nn/kernels/softmax_fast.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
@@ -54,12 +54,9 @@ void softmax_scalar(const float* in, float* out, std::size_t n) {
 }
 
 void softmax_symbolic(std::size_t n, SymbolicExecutor& exec,
-                      ExecutionPath path) {
+                      ExecutionPath) {
   SymbolicDomain d(exec);
-  if (path == ExecutionPath::kFast)
-    fast_kernel(d, nullptr, nullptr, n);
-  else
-    forward_kernel(d, nullptr, nullptr, n);
+  forward_kernel(d, nullptr, nullptr, n);
 }
 
 namespace {

@@ -79,9 +79,9 @@ class UnixListener {
 /// The service's socket front end: accept loop + per-connection request
 /// threads.  serve() blocks until a client sends the shutdown verb or
 /// stop() is called from another thread; either way it drains connection
-/// threads and closes the listener before returning.  While serving, each accept first joins the
-/// handlers that have finished, so a long-running server keeps only its
-/// live connections' threads.
+/// threads and closes the listener before returning.  While serving,
+/// each accept first joins the handlers that have finished, so a
+/// long-running server keeps only its live connections' threads.
 class SocketFrontEnd {
  public:
   SocketFrontEnd(EvaluationServer& server, const std::string& socket_path);
