@@ -1,5 +1,6 @@
 #include "uarch/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/error.hpp"
@@ -43,7 +44,9 @@ CacheLevel::CacheLevel(CacheConfig config, std::uint64_t rng_seed)
   line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
   set_mask_ = sets - 1;
   assoc_ = config_.associativity;
-  ways_.assign(sets * assoc_, Way{});
+  tags_.assign(sets * assoc_, kNoLine);
+  stamps_.assign(sets * assoc_, 0);
+  dirty_.assign(sets, 0);
   mru_.assign(sets, 0);
   plru_.assign(sets, 0);
   // Tree-PLRU promotion of `way`: walk from the root to the leaf, pointing
@@ -73,16 +76,17 @@ CacheLevel::CacheLevel(CacheConfig config, std::uint64_t rng_seed)
 
 std::size_t CacheLevel::choose_victim(std::size_t set) {
   const std::size_t assoc = assoc_;
-  Way* base = &ways_[set * assoc];
-  // Prefer an invalid way regardless of policy.
+  const std::uintptr_t* tags = &tags_[set * assoc];
+  // Prefer an empty way regardless of policy.
   for (std::size_t i = 0; i < assoc; ++i)
-    if (!base[i].valid) return i;
+    if (tags[i] == kNoLine) return i;
   switch (config_.policy) {
     case ReplacementPolicy::kLru:
     case ReplacementPolicy::kFifo: {
+      const std::uint64_t* stamps = &stamps_[set * assoc];
       std::size_t victim = 0;
       for (std::size_t i = 1; i < assoc; ++i)
-        if (base[i].lru_stamp < base[victim].lru_stamp) victim = i;
+        if (stamps[i] < stamps[victim]) victim = i;
       return victim;
     }
     case ReplacementPolicy::kTreePlru: {
@@ -113,47 +117,49 @@ std::size_t CacheLevel::choose_victim(std::size_t set) {
 
 bool CacheLevel::access_after_probe(std::size_t set, std::uintptr_t line,
                                     bool is_write) {
-  Way* base = &ways_[set * assoc_];
+  const std::uintptr_t* tags = &tags_[set * assoc_];
   for (std::size_t i = 0; i < assoc_; ++i) {
-    if (base[i].valid && base[i].tag == line) {
-      ++stats_.hits;
-      if (is_write) base[i].dirty = true;
-      touch(set, i);
+    if (tags[i] == line) {
+      hit_at(set, i, is_write);
       return true;
     }
   }
+  ++stats_.accesses;
   ++stats_.misses;
+  ++generation_;
   const std::size_t victim = choose_victim(set);
-  Way& w = base[victim];
-  if (w.valid) {
+  const std::size_t slot = set * assoc_ + victim;
+  const std::uint64_t bit = std::uint64_t{1} << victim;
+  if (tags_[slot] != kNoLine) {
     ++stats_.evictions;
-    if (w.dirty) ++stats_.writebacks;
+    if (dirty_[set] & bit) ++stats_.writebacks;
   }
-  w.tag = line;
-  w.valid = true;
-  w.dirty = is_write;
-  w.lru_stamp = ++tick_;  // install time (LRU and FIFO both stamp here)
+  tags_[slot] = line;
+  dirty_[set] = is_write ? dirty_[set] | bit : dirty_[set] & ~bit;
+  stamps_[slot] = ++tick_;  // install time (LRU and FIFO both stamp here)
   touch(set, victim);
   return false;
 }
 
 bool CacheLevel::contains(std::uintptr_t address) const {
   const std::uintptr_t line = address >> line_shift_;
-  const std::size_t set = static_cast<std::size_t>(line) & set_mask_;
-  const Way* base = &ways_[set * assoc_];
+  const std::uintptr_t* tags = &tags_[set_of(address) * assoc_];
   for (std::size_t i = 0; i < assoc_; ++i)
-    if (base[i].valid && base[i].tag == line) return true;
+    if (tags[i] == line) return true;
   return false;
 }
 
 void CacheLevel::flush() {
-  for (Way& w : ways_) w = Way{};
-  for (auto& bits : plru_) bits = 0;
+  std::fill(tags_.begin(), tags_.end(), kNoLine);
+  std::fill(stamps_.begin(), stamps_.end(), 0);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
+  std::fill(plru_.begin(), plru_.end(), 0);
+  ++generation_;
 }
 
 void CacheLevel::evict_random_line(util::Rng& rng) {
-  // Pick a random set/way outside the protected partition; if valid,
-  // invalidate it (models a co-tenant displacing a line).
+  // Pick a random set/way outside the protected partition; if it holds a
+  // line, drop it (models a co-tenant displacing a line).
   if (config_.protected_ways >= assoc_) return;
   const std::size_t sets = set_mask_ + 1;
   const std::size_t unprotected = assoc_ - config_.protected_ways;
@@ -161,9 +167,11 @@ void CacheLevel::evict_random_line(util::Rng& rng) {
   const std::size_t way =
       config_.protected_ways +
       static_cast<std::size_t>(rng.below(unprotected));
-  Way& w = ways_[set * assoc_ + way];
-  if (w.valid) {
-    w = Way{};
+  std::uintptr_t& tag = tags_[set * assoc_ + way];
+  if (tag != kNoLine) {
+    tag = kNoLine;
+    dirty_[set] &= ~(std::uint64_t{1} << way);
+    ++generation_;
   }
 }
 

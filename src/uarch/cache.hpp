@@ -72,21 +72,38 @@ class CacheLevel {
   /// Returns true on hit.  On miss the line is installed, possibly
   /// evicting another.
   bool access(std::uintptr_t address, bool is_write) {
-    ++stats_.accesses;
     const std::uintptr_t line = address >> line_shift_;
     const std::size_t set = static_cast<std::size_t>(line) & set_mask_;
     // Tags are unique within a set, so probing the set's MRU way first
     // changes only how soon the hit is found, never which way hits.
     const std::size_t hint = mru_[set];
-    Way& w = ways_[set * assoc_ + hint];
-    if (w.valid && w.tag == line) {
-      ++stats_.hits;
-      if (is_write) w.dirty = true;
-      touch(set, hint);
+    if (tags_[set * assoc_ + hint] == line) {
+      hit_at(set, hint, is_write);
       return true;
     }
     return access_after_probe(set, line, is_write);
   }
+
+  /// A hit on the line resident in (`set`, `way`): everything access()
+  /// does when it finds the line there.
+  void hit_at(std::size_t set, std::size_t way, bool is_write) {
+    ++stats_.accesses;
+    ++stats_.hits;
+    if (is_write) dirty_[set] |= std::uint64_t{1} << way;
+    touch(set, way);
+  }
+
+  /// Set holding the line of `address`, and the way touched last in a
+  /// set: right after an access, the way that access hit or filled.
+  std::size_t set_of(std::uintptr_t address) const {
+    return static_cast<std::size_t>(address >> line_shift_) & set_mask_;
+  }
+  std::size_t mru_way(std::size_t set) const { return mru_[set]; }
+
+  /// Changes whenever a line enters or leaves the cache (install,
+  /// eviction, flush), so a line seen at (set, way) is still there while
+  /// the generation is unchanged.
+  std::uint64_t generation() const { return generation_; }
 
   /// Probe without updating state or stats (for tests/inspection).
   bool contains(std::uintptr_t address) const;
@@ -101,12 +118,9 @@ class CacheLevel {
   void reset_stats() { stats_ = CacheStats{}; }
 
  private:
-  struct Way {
-    std::uintptr_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru_stamp = 0;   // for kLru / kFifo
-  };
+  /// An empty way holds kNoLine, which no user-space address shifts down
+  /// to.
+  static constexpr std::uintptr_t kNoLine = ~std::uintptr_t{0};
 
   /// The rest of access() once the MRU probe missed: scan the set, and on
   /// a miss install the line over a victim.
@@ -119,7 +133,7 @@ class CacheLevel {
     mru_[set] = static_cast<std::uint8_t>(way);
     switch (config_.policy) {
       case ReplacementPolicy::kLru:
-        ways_[set * assoc_ + way].lru_stamp = ++tick_;
+        stamps_[set * assoc_ + way] = ++tick_;
         break;
       case ReplacementPolicy::kTreePlru:
         // The classic promotion walk from the root points every node on
@@ -138,12 +152,17 @@ class CacheLevel {
   unsigned line_shift_ = 0;            // log2(line_bytes)
   std::size_t set_mask_ = 0;           // num_sets - 1
   std::size_t assoc_ = 0;
-  std::vector<Way> ways_;              // num_sets * associativity
+  // Per way, num_sets * associativity in set order: the line's tag and
+  // its LRU/FIFO stamp.  An 8-way set's tags fill one 64-byte line.
+  std::vector<std::uintptr_t> tags_;
+  std::vector<std::uint64_t> stamps_;
+  std::vector<std::uint64_t> dirty_;   // per set: one dirty bit per way
   std::vector<std::uint8_t> mru_;      // per set: the way touched last
   std::vector<std::uint64_t> plru_;    // one PLRU tree bitmask per set
   std::vector<std::uint64_t> plru_set_;    // per way: promotion's set bits
   std::vector<std::uint64_t> plru_clear_;  // per way: its cleared bits
   std::uint64_t tick_ = 0;
+  std::uint64_t generation_ = 0;
   util::Rng rng_;
 };
 

@@ -102,6 +102,7 @@ class MemoryHierarchy {
   }
 
   CacheLevel& l1d() { return l1d_; }
+  Tlb& tlb() { return tlb_; }
   CacheLevel* l2() { return l2_.get(); }
   CacheLevel* llc() { return llc_.get(); }
 
@@ -109,6 +110,13 @@ class MemoryHierarchy {
   std::uint64_t last_level_references() const;
   /// Misses at the last enabled level (perf cache-misses).
   std::uint64_t last_level_misses() const;
+
+  /// Changes whenever a line enters or leaves L1D or a page enters or
+  /// leaves the TLB: while it is unchanged, a line stays at the L1D way
+  /// and its page at the TLB entry where an access last found them.
+  std::uint64_t residency() const {
+    return l1d_.generation() + tlb_.generation();
+  }
 
   /// Invalidate all levels (cold start).
   void flush_all();

@@ -1,6 +1,7 @@
 #include "uarch/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace sce::uarch {
 
@@ -42,7 +43,11 @@ SimulatedMachine::SimulatedMachine(const MachineConfig& config)
     : config_(config),
       hierarchy_(config_.hierarchy),
       predictor_(make_predictor(config_.predictor)),
-      pollution_rng_(config_.pollution_seed) {}
+      pollution_rng_(config_.pollution_seed),
+      line_shift_(static_cast<unsigned>(
+          std::countr_zero(config_.hierarchy.l1d.line_bytes))),
+      line_bytes_(config_.hierarchy.l1d.line_bytes),
+      recent_lines_usable_(line_bytes_ <= (std::uintptr_t{1} << kPageBits)) {}
 
 void SimulatedMachine::begin_measurement() {
   running_ = true;
@@ -52,6 +57,7 @@ void SimulatedMachine::begin_measurement() {
   structural_branches_ = 0;
   memory_cycles_ = 0;
   accesses_since_pollution_ = 0;
+  forget_recent_lines();
   hierarchy_.reset_stats();
   predictor_->reset_stats();
   if (config_.cold_start_per_measurement) {
@@ -65,14 +71,42 @@ void SimulatedMachine::begin_measurement() {
 
 void SimulatedMachine::replay_canonical(const TraceBuffer& trace,
                                         ReplayClass cls) {
+  // Canonical addresses bypass normalize(), so a raw line means another
+  // normalized line inside the replay than outside it.
+  forget_recent_lines();
   trusted_canonical_ = true;
   try {
     trace.replay(*this, cls, ReplayAddressing::kCanonical);
   } catch (...) {
     trusted_canonical_ = false;
+    forget_recent_lines();
     throw;
   }
   trusted_canonical_ = false;
+  forget_recent_lines();
+}
+
+void SimulatedMachine::full_access(const void* addr, std::size_t bytes,
+                                   bool is_write, RecentLine* recent) {
+  const std::uintptr_t normalized = normalize(addr);
+  const AccessResult result = hierarchy_.access(normalized, bytes, is_write);
+  if (recent != nullptr && recent_lines_usable_) {
+    recent->line = reinterpret_cast<std::uintptr_t>(addr) >> line_shift_;
+    recent->residency = hierarchy_.residency();
+    const std::uintptr_t line_addr = (normalized >> line_shift_)
+                                     << line_shift_;
+    const CacheLevel& l1d = hierarchy_.l1d();
+    recent->l1d_set = static_cast<std::uint32_t>(l1d.set_of(line_addr));
+    recent->l1d_way = static_cast<std::uint8_t>(l1d.mru_way(recent->l1d_set));
+    if (config_.hierarchy.enable_tlb) {
+      const Tlb& tlb = hierarchy_.tlb();
+      recent->tlb_set = static_cast<std::uint32_t>(tlb.set_of(line_addr));
+      recent->tlb_entry =
+          static_cast<std::uint8_t>(tlb.mru_entry(recent->tlb_set));
+    }
+  }
+  memory_cycles_ += result.cycles;
+  if (config_.pollution_period != 0) pollute(result.lines_touched);
 }
 
 void SimulatedMachine::pollute(std::uint32_t lines) {

@@ -33,7 +33,9 @@ Tlb::Tlb(TlbConfig config) : config_(config) {
 }
 
 void Tlb::install(Entry* base, std::size_t set, std::uintptr_t page) {
+  ++stats_.accesses;
   ++stats_.misses;
+  ++generation_;
   // LRU replacement within the set; invalid entries first.
   std::size_t victim = 0;
   for (std::size_t i = 0; i < config_.associativity; ++i) {
@@ -50,6 +52,7 @@ void Tlb::install(Entry* base, std::size_t set, std::uintptr_t page) {
 void Tlb::flush() {
   for (Entry& e : entries_) e = Entry{};
   for (std::uint8_t& m : mru_) m = 0;
+  ++generation_;
 }
 
 }  // namespace sce::uarch

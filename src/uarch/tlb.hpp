@@ -32,29 +32,46 @@ class Tlb {
 
   /// Translate the page containing `address`; returns true on TLB hit.
   bool access(std::uintptr_t address) {
-    ++stats_.accesses;
     const std::uintptr_t page = address >> page_shift_;
     const std::size_t set = static_cast<std::size_t>(page) & set_mask_;
     Entry* base = &entries_[set * config_.associativity];
     // Pages are unique within a set, so probing the set's MRU entry first
     // changes only how soon the hit is found, never which entry hits.
-    Entry& mru = base[mru_[set]];
-    if (mru.page == page) {
-      ++stats_.hits;
-      mru.stamp = ++tick_;
+    const std::size_t hint = mru_[set];
+    if (base[hint].page == page) {
+      hit_at(set, hint);
       return true;
     }
     for (std::size_t i = 0; i < config_.associativity; ++i) {
       if (base[i].page == page) {
-        ++stats_.hits;
-        base[i].stamp = ++tick_;
-        mru_[set] = static_cast<std::uint8_t>(i);
+        hit_at(set, i);
         return true;
       }
     }
     install(base, set, page);
     return false;
   }
+
+  /// A hit on the page held in (`set`, `entry`): everything access() does
+  /// when it finds the page there.
+  void hit_at(std::size_t set, std::size_t entry) {
+    entries_[set * config_.associativity + entry].stamp = ++tick_;
+    mru_[set] = static_cast<std::uint8_t>(entry);
+    ++stats_.accesses;
+    ++stats_.hits;
+  }
+
+  /// Set holding the page of `address`, and the entry touched last in a
+  /// set: right after an access, the entry that access hit or filled.
+  std::size_t set_of(std::uintptr_t address) const {
+    return static_cast<std::size_t>(address >> page_shift_) & set_mask_;
+  }
+  std::size_t mru_entry(std::size_t set) const { return mru_[set]; }
+
+  /// Changes whenever a page enters or leaves the TLB (install, flush),
+  /// so a page seen at (set, entry) is still there while the generation
+  /// is unchanged.
+  std::uint64_t generation() const { return generation_; }
 
   const TlbStats& stats() const { return stats_; }
   const TlbConfig& config() const { return config_; }
@@ -71,8 +88,8 @@ class Tlb {
     std::uint64_t stamp = 0;
   };
 
-  /// Miss path: count the miss and install `page` over the set's LRU
-  /// entry.
+  /// Miss path: count the access and the miss, and install `page` over
+  /// the set's LRU entry.
   void install(Entry* base, std::size_t set, std::uintptr_t page);
 
   TlbConfig config_;
@@ -82,6 +99,7 @@ class Tlb {
   std::vector<Entry> entries_;
   std::vector<std::uint8_t> mru_;  // per set: the entry that hit last
   std::uint64_t tick_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace sce::uarch

@@ -161,11 +161,13 @@ else
   # engine's shared event stack.  PinnedCounts pins every uarch model's
   # counts on seeded streams, and MachineDispatch requires the kernels'
   # direct-call instantiation over the simulated machine to count exactly
-  # like the virtual TraceSink one.  The full sanitized suite below reuses
+  # like the virtual TraceSink one.  RecentLines checks the simulated
+  # machine's recent-line filter against a bare hierarchy fed addresses
+  # the test normalises itself.  The full sanitized suite below reuses
   # the same build tree.
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
     "${BUILD_DIR}-sanitize" \
-    'KernelPath|KernelTrace|Symbolic|ContractOracle|ContractFixtures|Lint|PinnedCounts|MachineDispatch'
+    'KernelPath|KernelTrace|Symbolic|ContractOracle|ContractFixtures|Lint|PinnedCounts|MachineDispatch|RecentLines'
 
   echo "==> running tier-1 suite under address;undefined"
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
