@@ -95,15 +95,15 @@ class CounterProvider {
   /// Read the frozen counters; valid after stop().
   virtual CounterSample read() = 0;
 
-  /// Bind the provider's stochastic state (noise, injected faults,
-  /// multiplex rotation, ...) for the next measurement to `key`.  A keyed
-  /// provider derives every random stream it uses for that measurement
-  /// from (own_seed, key) instead of drawing from a sequential stream, so
-  /// the measurement's outcome is a pure function of (workload, key) —
-  /// independent of how many measurements ran before it and of which
-  /// provider instance runs it.  The sharded campaign runtime keys every
-  /// measurement by its global slot index, which is what makes a parallel
-  /// run bit-identical to the serial one.
+  /// Bind the provider's stochastic state (noise, injected faults, ...)
+  /// for the next measurement to `key`.  A keyed provider derives every
+  /// random stream it uses for that measurement from (own_seed, key)
+  /// instead of drawing from a sequential stream, so the measurement's
+  /// outcome is a pure function of (workload, key) — independent of how
+  /// many measurements ran before it and of which provider instance runs
+  /// it.  The sharded campaign runtime keys every measurement by its
+  /// global slot index, which is what makes a parallel run bit-identical
+  /// to the serial one.
   ///
   /// Returns true if the provider honours keys.  The default ignores them
   /// (hardware counters have no replayable randomness to bind).

@@ -125,7 +125,7 @@ class SingleInstrumentFactory final : public InstrumentFactory {
 
 /// Mints instruments through a callback — for tests and tools that need
 /// arbitrary per-shard provider stacks (fault injection over a pure
-/// provider, multiplexing over a simulated PMU, ...).
+/// provider, a provider that is not its own sink, ...).
 class CallbackInstrumentFactory final : public InstrumentFactory {
  public:
   using Minter = std::function<Instrument(std::size_t shard,

@@ -4,7 +4,7 @@
 // perf_event_open(2) — the programmatic equivalent of the paper's
 // `perf stat -e <event> -p <pid>`.  On hosts without a PMU (containers,
 // most VMs) or with restrictive perf_event_paranoid, probe() reports the
-// backend unavailable and the evaluator falls back to the simulated PMU.
+// backend unavailable; the campaign drivers run on the simulated PMU.
 #pragma once
 
 #include <string>
