@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "hpc/perf_backend.hpp"
 #include "hpc/simulated_pmu.hpp"
 #include "uarch/trace.hpp"
 #include "util/error.hpp"
@@ -57,6 +58,20 @@ TEST(SimulatedPmuFactory, HonoursTheSuppliedConfig) {
   instrument.provider().start();
   instrument.provider().stop();
   EXPECT_NO_THROW((void)instrument.provider().read());
+}
+
+TEST(PerfEventFactory, MintsARealCounterInstrumentOrThrows) {
+  PerfEventFactory factory;
+  EXPECT_EQ(factory.name(), "perf-event");
+  if (!PerfEventBackend::probe()) {
+    EXPECT_THROW(factory.create(0, 1), Unsupported);
+    return;
+  }
+  // The hardware counts the kernels itself: the sink discards the trace,
+  // so the layers run their untraced kernels.
+  Instrument instrument = factory.create(0, 1);
+  EXPECT_TRUE(instrument.sink().discards());
+  EXPECT_FALSE(instrument.provider().supported_events().empty());
 }
 
 TEST(SingleInstrumentFactory, ServesExactlyOneShard) {
