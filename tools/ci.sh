@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Full CI pipeline: configure, build, lint (clang-tidy on changed files +
-# the static leakage linter cross-checked against the trace oracle),
-# tier-1 tests, the time-to-verdict benchmark's own build and self-tests
-# (tree build-ci-perf), then the same suite under AddressSanitizer +
-# UBSan, then the concurrency tests under ThreadSanitizer — each
-# sanitizer in its own build tree.
+# Full CI pipeline: configure, build, a dead-translation-unit check, lint
+# (clang-tidy on changed files + the static leakage linter cross-checked
+# against the trace oracle), tier-1 tests, the time-to-verdict
+# benchmark's own build and self-tests (tree build-ci-perf), then the
+# same suite under AddressSanitizer + UBSan, then the concurrency tests
+# under ThreadSanitizer — each sanitizer in its own build tree.
 #
 #   tools/ci.sh [build-dir]
 #
@@ -32,6 +32,12 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Release
 
 echo "==> building"
 cmake --build "$BUILD_DIR" -j "$JOBS"
+
+echo "==> dead code: every library member reaches a shipped binary"
+# A library translation unit that no bench, tool or example links is
+# code whose only users are its own tests.  The script names the few
+# members kept on purpose, each with its reason.
+"$SRC_DIR/tools/check_dead_units.sh" "$BUILD_DIR"
 
 echo "==> lint: clang-tidy (changed files)"
 "$SRC_DIR/tools/run_clang_tidy.sh" "$BUILD_DIR"
