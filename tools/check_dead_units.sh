@@ -46,6 +46,10 @@ for lib in "$BUILD_DIR"/src/*/libsce_*.a; do
 done | sort -k2,2 > "$work/defined"
 
 cut -d' ' -f1 "$work/defined" | sort -u > "$work/members"
+if [ ! -s "$work/members" ]; then
+  echo "check_dead_units: no library archives under $BUILD_DIR/src" >&2
+  exit 1
+fi
 join -1 2 -2 1 -o 1.1 "$work/defined" "$work/linked" | sort -u > "$work/live"
 comm -23 "$work/members" "$work/live" > "$work/dead"
 
