@@ -169,11 +169,13 @@ else
   # direct-call instantiation over the simulated machine to count exactly
   # like the virtual TraceSink one.  RecentLines checks the simulated
   # machine's recent-line filter against a bare hierarchy fed addresses
-  # the test normalises itself.  The full sanitized suite below reuses
-  # the same build tree.
+  # the test normalises itself.  MruRehit requires an access repeated at
+  # once to add only hits, which lets a hit on the most recently used
+  # way skip the replacement update.  The full sanitized suite below
+  # reuses the same build tree.
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
     "${BUILD_DIR}-sanitize" \
-    'KernelPath|KernelTrace|Symbolic|ContractOracle|ContractFixtures|Lint|PinnedCounts|MachineDispatch|RecentLines'
+    'KernelPath|KernelTrace|Symbolic|ContractOracle|ContractFixtures|Lint|PinnedCounts|MachineDispatch|RecentLines|MruRehit'
 
   echo "==> running tier-1 suite under address;undefined"
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
