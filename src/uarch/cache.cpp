@@ -154,6 +154,7 @@ void CacheLevel::flush() {
   std::fill(stamps_.begin(), stamps_.end(), 0);
   std::fill(dirty_.begin(), dirty_.end(), 0);
   std::fill(plru_.begin(), plru_.end(), 0);
+  std::fill(mru_.begin(), mru_.end(), 0);
   ++generation_;
 }
 

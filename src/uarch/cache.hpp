@@ -87,14 +87,31 @@ class CacheLevel {
   /// A hit on the line resident in (`set`, `way`): everything access()
   /// does when it finds the line there.
   void hit_at(std::size_t set, std::size_t way, bool is_write) {
+    hit_untallied(set, way, is_write);
     ++stats_.accesses;
     ++stats_.hits;
+  }
+
+  /// hit_at() without the tally: a caller that counts its own hits adds
+  /// them with add_hits() before anyone reads stats().
+  void hit_untallied(std::size_t set, std::size_t way, bool is_write) {
+    // A line is resident only in a way touched since the last flush, so
+    // a hit on the way mru_ names is a hit on the set's most recently
+    // used way.  Touching it again would leave the tree-PLRU bits as
+    // they are and keep LRU's order within the set.
+    if (way != mru_[set]) touch(set, way);
     if (is_write) dirty_[set] |= std::uint64_t{1} << way;
-    touch(set, way);
+  }
+
+  /// Count `n` hits taken with hit_untallied().
+  void add_hits(std::uint64_t n) {
+    stats_.accesses += n;
+    stats_.hits += n;
   }
 
   /// Set holding the line of `address`, and the way touched last in a
-  /// set: right after an access, the way that access hit or filled.
+  /// set since the last flush: right after an access, the way that
+  /// access hit or filled.  hit_untallied() relies on this.
   std::size_t set_of(std::uintptr_t address) const {
     return static_cast<std::size_t>(address >> line_shift_) & set_mask_;
   }
@@ -158,6 +175,7 @@ class CacheLevel {
   std::vector<std::uint64_t> stamps_;
   std::vector<std::uint64_t> dirty_;   // per set: one dirty bit per way
   std::vector<std::uint8_t> mru_;      // per set: the way touched last
+                                       // since the last flush, else 0
   std::vector<std::uint64_t> plru_;    // one PLRU tree bitmask per set
   std::vector<std::uint64_t> plru_set_;    // per way: promotion's set bits
   std::vector<std::uint64_t> plru_clear_;  // per way: its cleared bits

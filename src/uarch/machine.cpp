@@ -56,6 +56,7 @@ void SimulatedMachine::begin_measurement() {
   retired_ = 0;
   structural_branches_ = 0;
   memory_cycles_ = 0;
+  filter_hits_ = 0;
   accesses_since_pollution_ = 0;
   forget_recent_lines();
   hierarchy_.reset_stats();
@@ -67,6 +68,16 @@ void SimulatedMachine::begin_measurement() {
     // first-touch order again.
     page_frames_.clear();
   }
+}
+
+void SimulatedMachine::end_measurement() {
+  running_ = false;
+  // Each filter hit is a TLB hit (when the TLB is modelled) and an L1D
+  // hit at L1 latency, exactly what MemoryHierarchy::access counts.
+  hierarchy_.l1d().add_hits(filter_hits_);
+  if (config_.hierarchy.enable_tlb) hierarchy_.tlb().add_hits(filter_hits_);
+  memory_cycles_ += filter_hits_ * config_.hierarchy.l1_hit_cycles;
+  filter_hits_ = 0;
 }
 
 void SimulatedMachine::replay_canonical(const TraceBuffer& trace,

@@ -12,8 +12,8 @@
 // every load, store and branch: no event makes a virtual call, and the
 // predictor is reached through its concrete final type.  A load or
 // store of a line touched moments ago, still where it was, is a TLB and
-// L1D hit taken in line (the recent-line filter); any other access
-// continues out of line.  Through a TraceSink& the same overrides run
+// L1D hit taken in line (the recent-line filter) and tallied when the
+// measurement ends; any other access continues out of line.  Through a TraceSink& the same overrides run
 // behind one virtual call, with identical results.
 #pragma once
 
@@ -126,7 +126,10 @@ class SimulatedMachine : public TraceSink {
   /// Open a measurement: zero the tallies and statistics, and on a cold
   /// start flush every structure and the page table.
   void begin_measurement();
-  void end_measurement() { running_ = false; }
+  /// Close the measurement and settle the recent-line filter's hits into
+  /// the L1D and TLB statistics and memory_cycles().  Closing twice
+  /// counts them once.
+  void end_measurement();
   bool running() const { return running_; }
 
   /// Reseed the pollution stream (a keyed measurement's own stream).
@@ -141,10 +144,13 @@ class SimulatedMachine : public TraceSink {
   std::uint64_t structural_branch_count() const {
     return structural_branches_;
   }
-  /// Hierarchy latency accumulated by the current/last measurement (the
-  /// memory_cycles input to the core event model).
+  /// Hierarchy latency accumulated by the last measurement (the
+  /// memory_cycles input to the core event model); exact once it ended.
   std::uint64_t memory_cycles() const { return memory_cycles_; }
 
+  /// The hierarchy and its statistics.  Recent-line filter hits reach
+  /// the L1D and TLB statistics only at end_measurement(), so those are
+  /// exact once a measurement has ended.
   MemoryHierarchy& hierarchy() { return hierarchy_; }
   const MemoryHierarchy& hierarchy() const { return hierarchy_; }
   BranchPredictor& predictor() { return *predictor_; }
@@ -218,9 +224,10 @@ class SimulatedMachine : public TraceSink {
     if (recent.line == line && one_line &&
         recent.residency == hierarchy_.residency()) {
       if (config_.hierarchy.enable_tlb)
-        hierarchy_.tlb().hit_at(recent.tlb_set, recent.tlb_entry);
-      hierarchy_.l1d().hit_at(recent.l1d_set, recent.l1d_way, is_write);
-      memory_cycles_ += config_.hierarchy.l1_hit_cycles;
+        hierarchy_.tlb().hit_untallied(recent.tlb_set, recent.tlb_entry);
+      hierarchy_.l1d().hit_untallied(recent.l1d_set, recent.l1d_way,
+                                     is_write);
+      ++filter_hits_;  // counted at end_measurement()
       if (config_.pollution_period != 0) pollute(1);
       return;
     }
@@ -261,6 +268,8 @@ class SimulatedMachine : public TraceSink {
   std::uint64_t retired_ = 0;
   std::uint64_t structural_branches_ = 0;
   std::uint64_t memory_cycles_ = 0;
+  /// Recent-line filter hits not yet settled into the statistics.
+  std::uint64_t filter_hits_ = 0;
 
   std::array<RecentLine, kRecentLines> recent_{};
 };

@@ -55,14 +55,30 @@ class Tlb {
   /// A hit on the page held in (`set`, `entry`): everything access() does
   /// when it finds the page there.
   void hit_at(std::size_t set, std::size_t entry) {
-    entries_[set * config_.associativity + entry].stamp = ++tick_;
-    mru_[set] = static_cast<std::uint8_t>(entry);
+    hit_untallied(set, entry);
     ++stats_.accesses;
     ++stats_.hits;
   }
 
+  /// hit_at() without the tally: a caller that counts its own hits adds
+  /// them with add_hits() before anyone reads stats().
+  void hit_untallied(std::size_t set, std::size_t entry) {
+    // A page is held only in an entry touched since the last flush, so
+    // the entry mru_ names already carries its set's newest stamp.
+    if (entry == mru_[set]) return;
+    entries_[set * config_.associativity + entry].stamp = ++tick_;
+    mru_[set] = static_cast<std::uint8_t>(entry);
+  }
+
+  /// Count `n` hits taken with hit_untallied().
+  void add_hits(std::uint64_t n) {
+    stats_.accesses += n;
+    stats_.hits += n;
+  }
+
   /// Set holding the page of `address`, and the entry touched last in a
-  /// set: right after an access, the entry that access hit or filled.
+  /// set since the last flush: right after an access, the entry that
+  /// access hit or filled.  hit_untallied() relies on this.
   std::size_t set_of(std::uintptr_t address) const {
     return static_cast<std::size_t>(address >> page_shift_) & set_mask_;
   }
@@ -97,7 +113,8 @@ class Tlb {
   unsigned page_shift_ = 0;   // log2(page_bytes)
   std::size_t set_mask_ = 0;  // num_sets - 1
   std::vector<Entry> entries_;
-  std::vector<std::uint8_t> mru_;  // per set: the entry that hit last
+  std::vector<std::uint8_t> mru_;  // per set: the entry touched last
+                                   // since the last flush, else 0
   std::uint64_t tick_ = 0;
   std::uint64_t generation_ = 0;
 };

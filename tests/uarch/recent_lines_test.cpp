@@ -14,10 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "hpc/session.hpp"
 #include "hpc/simulated_pmu.hpp"
 #include "uarch/hierarchy.hpp"
 #include "uarch/machine.hpp"
@@ -268,6 +270,58 @@ TEST(RecentLines, TlbEvictsAPageWhoseLineStaysInL1d) {
               "tlb thrash over resident lines");
   EXPECT_EQ(machine.hierarchy().l1d_stats().misses, 80u);
   EXPECT_GT(machine.hierarchy().tlb_stats().misses, 160u);
+}
+
+TEST(RecentLines, HitTalliesSettleAtEndOfMeasurement) {
+  // Filter hits reach the L1D and TLB statistics and memory_cycles() when
+  // a measurement ends, however it ends, and only once.
+  const std::vector<Access> stream =
+      reuse_stream(91, 4000, 0x7f0000000000, 64);
+  {
+    hpc::SimulatedPmu pmu;
+    Reference ref(MachineConfig{});  // the PMU's hierarchy and defaults
+    ref.begin();
+    EXPECT_THROW(hpc::measure(pmu,
+                              [&] {
+                                feed(pmu, ref, stream);
+                                throw std::runtime_error("kernel fault");
+                              }),
+                 std::runtime_error);
+    EXPECT_FALSE(pmu.running());
+    expect_same(pmu.hierarchy(), pmu.memory_cycles(), ref,
+                "stopped from the exception path");
+  }
+
+  MachineConfig warm;
+  warm.cold_start_per_measurement = false;
+  warm.pollution_period = 13;
+  warm.pollution_seed = 92;
+  SimulatedMachine machine(warm);
+  Reference ref(warm);
+  const auto measure = [&](const std::vector<Access>& accesses) {
+    machine.begin_measurement();
+    ref.begin();
+    feed(machine, ref, accesses);
+    machine.end_measurement();
+  };
+
+  measure(stream);
+  measure({});
+  expect_same(machine.hierarchy(), machine.memory_cycles(), ref,
+              "no memory events");
+  EXPECT_EQ(machine.hierarchy().l1d_stats().accesses, 0u);
+
+  measure(stream);
+  machine.end_measurement();
+  expect_same(machine.hierarchy(), machine.memory_cycles(), ref,
+              "ended twice");
+
+  machine.begin_measurement();
+  ref.begin();
+  feed(machine, ref, stream);
+  measure(reuse_stream(93, 4000, 0x7f0000000000, 64));
+  expect_same(machine.hierarchy(), machine.memory_cycles(), ref,
+              "begun again before the last one ended");
 }
 
 /// Collects the addresses a trace replays.
