@@ -13,8 +13,9 @@
 // predictor is reached through its concrete final type.  A load or
 // store of a line touched moments ago, still where it was, is a TLB and
 // L1D hit taken in line (the recent-line filter) and tallied when the
-// measurement ends; any other access continues out of line.  Through a TraceSink& the same overrides run
-// behind one virtual call, with identical results.
+// measurement ends; any other access continues out of line.  Through a
+// TraceSink& the same overrides run behind one virtual call, with
+// identical results.
 #pragma once
 
 #include <array>

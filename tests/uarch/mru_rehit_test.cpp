@@ -5,8 +5,8 @@
 // that way again must leave every later replacement decision alone: the
 // same victims, evictions, writebacks and TLB misses, with exactly one
 // more hit per repeated access.  Co-tenant evictions and flushes at fixed
-// positions empty the most recently used way now and then, so the next
-// install into it must still update replacement state.  The property
+// positions empty the most recently used way now and then, so the
+// streams also install into the way the MRU byte names.  The property
 // holds for any model that keeps its replacement order within a set, so
 // it pins behaviour, not an implementation.
 #include <gtest/gtest.h>
@@ -27,9 +27,10 @@ struct Access {
   bool is_write;
 };
 
-/// A seeded mix of reuse and conflict: a few hot lines, runs through
-/// one set with more lines than it has ways, and random lines over a
-/// footprint eight times the structure's reach.
+/// A seeded mix of reuse and conflict: a few hot granules (lines or
+/// pages), runs through one set with more granules than it has ways,
+/// and random granules over a footprint of 512, many times what the
+/// structure holds.
 std::vector<Access> address_stream(std::uint64_t seed, std::size_t n,
                                    std::uintptr_t granule,
                                    std::uintptr_t set_stride) {
@@ -130,7 +131,8 @@ TlbStats run_tlb(const std::vector<Access>& stream, int times) {
 }
 
 TEST(MruRehit, TlbRepeatsOnlyAddHits) {
-  const std::vector<Access> stream = address_stream(41, 20000, 4096, 4 * 4096);
+  const std::vector<Access> stream =
+      address_stream(41, 20000, 4096, 4 * 4096);
   const TlbStats once = run_tlb(stream, 1);
   const TlbStats twice = run_tlb(stream, 2);
   EXPECT_GT(once.hits, 0u);
