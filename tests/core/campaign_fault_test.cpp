@@ -299,20 +299,20 @@ TEST(CampaignCheckpoint, KilledCampaignResumesBitForBit) {
   const CampaignResult uninterrupted =
       testing::run_borrowed(model, ds, provider_a, pmu_a, cfg);
 
-  // "Kill" a second run mid-flight by bounding its measurement budget.
+  // "Kill" a second run mid-flight by cancelling it after 7 measurements.
   TracePurePmu pmu_b;
   auto provider_b = make_provider(pmu_b);
-  CampaignConfig first_leg = cfg;
-  first_leg.stop_after_measurements = 7;  // dies mid-round
+  hpc::SingleInstrumentFactory instruments_b(provider_b, pmu_b);
+  Campaign first_leg(model, ds, instruments_b);
   const CampaignResult partial =
-      testing::run_borrowed(model, ds, provider_b, pmu_b, first_leg);
+      testing::run_until(first_leg, cfg, 7);  // dies mid-round
   EXPECT_FALSE(partial.diagnostics.complete);
+  EXPECT_EQ(partial.diagnostics.stop_reason, StopReason::kCancelled);
   EXPECT_EQ(partial.diagnostics.measurements_recorded, 7u);
 
   // Serialize, reload, resume in a "fresh process" (new PMU, new
   // provider — nothing survives the kill except the checkpoint JSON).
-  const std::string json =
-      checkpoint_to_json(make_checkpoint(partial, first_leg));
+  const std::string json = checkpoint_to_json(make_checkpoint(partial, cfg));
   const CampaignCheckpoint loaded = checkpoint_from_json(json);
   TracePurePmu pmu_c;
   auto provider_c = make_provider(pmu_c);
@@ -329,11 +329,12 @@ TEST(CampaignCheckpoint, ResumeRejectsMismatchedConfig) {
   hpc::SimulatedPmu pmu = quiet_pmu();
 
   const CampaignConfig cfg = small_campaign(/*samples=*/4);
-  CampaignConfig first_leg = cfg;
-  first_leg.stop_after_measurements = 3;
-  const CampaignResult partial =
-      testing::run_borrowed(model, ds, pmu, first_leg);
-  const CampaignCheckpoint cp = make_checkpoint(partial, first_leg);
+  hpc::SingleInstrumentFactory instruments(pmu, pmu);
+  Campaign first_leg(model, ds, instruments);
+  const CampaignResult partial = testing::run_until(first_leg, cfg, 3);
+  EXPECT_EQ(partial.diagnostics.stop_reason, StopReason::kCancelled);
+  EXPECT_EQ(partial.diagnostics.measurements_recorded, 3u);
+  const CampaignCheckpoint cp = make_checkpoint(partial, cfg);
 
   CampaignConfig different_budget = cfg;
   different_budget.samples_per_category = 9;

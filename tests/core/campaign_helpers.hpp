@@ -35,6 +35,25 @@ CampaignResult run_borrowed(const nn::Sequential& model,
   return run_borrowed(model, ds, pmu, pmu, cfg);
 }
 
+/// Run `campaign` under `cfg` until `k` measurements are recorded, then
+/// stop it the way an operator would: `cfg` gets a fresh CancelToken that
+/// the progress callback trips once k measurements are in.  Progress
+/// granularity k puts the first chunk barrier exactly on k, so the run
+/// returns Partial (StopReason::kCancelled) with k recorded.  The
+/// campaign keeps the config and the callback afterwards.
+inline CampaignResult run_until(Campaign& campaign, CampaignConfig cfg,
+                                std::size_t k) {
+  cfg.cancel = util::CancelToken();  // config copies share token state
+  util::CancelToken stopper = cfg.cancel;
+  return campaign.with_config(std::move(cfg))
+      .on_progress(
+          [stopper, k](const CampaignProgress& p) mutable {
+            if (p.measurements_recorded >= k) stopper.cancel("kill-point");
+          },
+          k)
+      .run();
+}
+
 /// Build a CampaignResult whose cells are Gaussian samples with the given
 /// per-category means (same stddev everywhere, every event identical).
 inline CampaignResult synthetic_campaign(

@@ -22,6 +22,7 @@
 namespace sce::core {
 namespace {
 
+using testing::run_until;
 using testing::tiny_dataset;
 using testing::tiny_model;
 using testing::trace_pure_factory;
@@ -122,14 +123,11 @@ TEST(CampaignParallel, MidParallelCheckpointResumesToIdenticalResult) {
   const CampaignResult uninterrupted =
       Campaign(model, ds, instruments).with_config(full).run();
 
-  CampaignConfig first_leg = full;
-  first_leg.stop_after_measurements = 20;
-  const CampaignResult partial =
-      Campaign(model, ds, instruments).with_config(first_leg).run();
+  Campaign first_leg(model, ds, instruments);
+  const CampaignResult partial = run_until(first_leg, full, 20);
   ASSERT_FALSE(partial.diagnostics.complete);
-  ASSERT_GE(partial.diagnostics.measurements_recorded, std::size_t{20});
-  ASSERT_LT(partial.diagnostics.measurements_recorded,
-            uninterrupted.diagnostics.measurements_recorded);
+  EXPECT_EQ(partial.diagnostics.stop_reason, StopReason::kCancelled);
+  ASSERT_EQ(partial.diagnostics.measurements_recorded, std::size_t{20});
 
   const CampaignCheckpoint checkpoint = make_checkpoint(partial, full);
   const CampaignResult resumed =
@@ -150,10 +148,10 @@ TEST(CampaignParallel, SerialCheckpointResumesShardedViaPrefixSplit) {
   const CampaignResult reference =
       Campaign(model, ds, instruments).with_config(small_config(1)).run();
 
-  CampaignConfig first_leg = small_config(1);
-  first_leg.stop_after_measurements = 15;
-  const CampaignResult partial =
-      Campaign(model, ds, instruments).with_config(first_leg).run();
+  Campaign first_leg(model, ds, instruments);
+  const CampaignResult partial = run_until(first_leg, small_config(1), 15);
+  EXPECT_EQ(partial.diagnostics.stop_reason, StopReason::kCancelled);
+  ASSERT_EQ(partial.diagnostics.measurements_recorded, std::size_t{15});
   const CampaignCheckpoint checkpoint =
       make_checkpoint(partial, small_config(1));
 
@@ -174,10 +172,10 @@ TEST(CampaignParallel, ShardedCheckpointRequiresMatchingShardCount) {
   const data::Dataset ds = tiny_dataset();
   auto instruments = trace_pure_factory();
 
-  CampaignConfig first_leg = small_config(4);
-  first_leg.stop_after_measurements = 24;
-  const CampaignResult partial =
-      Campaign(model, ds, instruments).with_config(first_leg).run();
+  Campaign first_leg(model, ds, instruments);
+  const CampaignResult partial = run_until(first_leg, small_config(4), 24);
+  EXPECT_EQ(partial.diagnostics.stop_reason, StopReason::kCancelled);
+  ASSERT_EQ(partial.diagnostics.measurements_recorded, std::size_t{24});
   ASSERT_EQ(partial.diagnostics.shard_recorded.size(), 4u);
   const CampaignCheckpoint checkpoint =
       make_checkpoint(partial, small_config(4));
