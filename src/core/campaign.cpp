@@ -1,10 +1,8 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -12,64 +10,28 @@
 #include "core/acquisition_keys.hpp"
 #include "core/checkpoint.hpp"
 #include "nn/plan.hpp"
-#include "stats/descriptive.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
-#include "util/watchdog.hpp"
 
 namespace sce::core {
-
-namespace {
-
-/// Robust isolation score of `x` against `cell`: the distance from `x`
-/// to the *nearest* value recorded so far, in robust-sigma units
-/// (1.4826·MAD makes the scale consistent with sigma under normality).
-/// Nearest-value distance, not distance-from-median, because a cell is
-/// legitimately multimodal — it mixes the workload's distinct inputs —
-/// and a recurring mode far from the median is not pollution.  The scale
-/// is floored at `mad_floor` times the cell median so a near-constant
-/// cell (MAD ~ 0) does not promote benign variation into arbitrarily
-/// many sigmas.  Returns 0 when the scale is still degenerate — such a
-/// cell carries no spread to judge outliers against.
-double robust_isolation(const std::vector<double>& cell, double x,
-                        double mad_floor) {
-  const double med = stats::quantile(cell, 0.5);
-  std::vector<double> deviations;
-  deviations.reserve(cell.size());
-  for (double v : cell) deviations.push_back(std::abs(v - med));
-  const double mad = stats::quantile(deviations, 0.5);
-  const double scale = std::max(1.4826 * mad, mad_floor * std::abs(med));
-  if (scale <= 0.0) return 0.0;
-  double nearest = std::numeric_limits<double>::infinity();
-  for (double v : cell) nearest = std::min(nearest, std::abs(x - v));
-  return nearest / scale;
-}
-
-}  // namespace
 
 std::string to_string(StopReason reason) {
   switch (reason) {
     case StopReason::kCompleted:
       return "completed";
-    case StopReason::kMeasurementBudget:
-      return "measurement-budget";
     case StopReason::kCancelled:
       return "cancelled";
     case StopReason::kDeadline:
       return "deadline";
-    case StopReason::kShardStalled:
-      return "shard-stalled";
   }
   return "completed";
 }
 
 StopReason parse_stop_reason(const std::string& name) {
-  for (StopReason r :
-       {StopReason::kCompleted, StopReason::kMeasurementBudget,
-        StopReason::kCancelled, StopReason::kDeadline,
-        StopReason::kShardStalled})
+  for (StopReason r : {StopReason::kCompleted, StopReason::kCancelled,
+                       StopReason::kDeadline})
     if (to_string(r) == name) return r;
   throw InvalidArgument("campaign: unknown stop reason \"" + name + "\"");
 }
@@ -105,14 +67,9 @@ util::CancelToken run_token(const util::CancelToken& parent,
 }
 
 StopReason stop_reason_of(const util::CancelToken& token) {
-  switch (token.reason()) {
-    case util::CancelReason::kDeadline:
-      return StopReason::kDeadline;
-    case util::CancelReason::kStalled:
-      return StopReason::kShardStalled;
-    default:
-      return StopReason::kCancelled;
-  }
+  return token.reason() == util::CancelReason::kDeadline
+             ? StopReason::kDeadline
+             : StopReason::kCancelled;
 }
 
 }  // namespace acquisition
@@ -128,19 +85,8 @@ void CampaignConfig::validate() const {
   if (checkpoint_every > 0 && checkpoint_path.empty())
     throw ValidationError("campaign", "checkpoint_path",
                           "required when checkpoint_every is set");
-  if (event_drop_after == 0)
-    throw ValidationError("campaign", "event_drop_after", "must be >= 1");
-  if (outlier_mad_threshold < 0.0)
-    throw ValidationError("campaign", "outlier_mad_threshold",
-                          "must be >= 0");
-  if (outlier_mad_floor < 0.0)
-    throw ValidationError("campaign", "outlier_mad_floor", "must be >= 0");
   if (deadline < std::chrono::milliseconds::zero())
     throw ValidationError("campaign", "deadline", "must be >= 0");
-  if (stall_timeout < std::chrono::milliseconds::zero())
-    throw ValidationError("campaign", "stall_timeout", "must be >= 0");
-  if (watchdog_poll < std::chrono::milliseconds::zero())
-    throw ValidationError("campaign", "watchdog_poll", "must be >= 0");
 }
 
 bool CampaignDiagnostics::event_dropped(hpc::HpcEvent event) const {
@@ -158,7 +104,6 @@ std::string CampaignDiagnostics::summary() const {
                   std::to_string(measurements_attempted) + " attempts, " +
                   std::to_string(transient_faults) + " transient faults, " +
                   std::to_string(incomplete_samples) + " incomplete samples, " +
-                  std::to_string(outliers_quarantined) + " outliers, " +
                   std::to_string(failed_measurements) + " slots failed";
   if (shard_recorded.size() > 1)
     s += ", " + std::to_string(shard_recorded.size()) + " shards";
@@ -174,10 +119,6 @@ std::string CampaignDiagnostics::summary() const {
     s += ", lost instruments on shards:";
     for (std::size_t k : lost_instrument_shards) s += " " + std::to_string(k);
     s += " (" + std::to_string(failed_over_measurements) + " failed over)";
-  }
-  if (!stalled_shards.empty()) {
-    s += ", stalled shards:";
-    for (std::size_t k : stalled_shards) s += " " + std::to_string(k);
   }
   s += complete ? ", complete" : ", partial";
   if (stop_reason != StopReason::kCompleted)
@@ -285,14 +226,12 @@ struct ShardState {
   }
 };
 
-/// Execution context shared by every chunk of one run: the schedule, the
-/// run's cancel token (a child of the config token, deadline armed) and
-/// the optional watchdog the executing lane must beat.
+/// Execution context shared by every chunk of one run: the schedule and
+/// the run's cancel token (a child of the config token, deadline armed).
 struct ChunkContext {
   const CampaignConfig& cfg;
   const InputPools& pools;
   util::CancelToken token;
-  util::Watchdog* watchdog = nullptr;
 };
 
 /// Measure work-state `work`'s staged input on `rig`'s instrument.  The
@@ -321,6 +260,11 @@ hpc::CounterSample raw_measure(ShardState& work, ShardState& rig,
   provider.stop();
   return provider.read();
 }
+
+/// Consecutive samples an expected event may be missing from before it is
+/// declared permanently lost and dropped from the campaign.  Streaks are
+/// tracked per shard; a drop in any shard drops the event globally.
+constexpr std::size_t kEventDropAfter = 8;
 
 void drop_event(ShardState& sh, hpc::HpcEvent e) {
   const std::size_t idx = static_cast<std::size_t>(e);
@@ -358,9 +302,8 @@ std::optional<std::size_t> next_category(const ShardState& sh,
 
 /// One measurement slot: acquire until a valid sample lands in cell
 /// (c, cursor[c]) or the retry budget dies.  Returns true if recorded.
-/// Checks the run token and beats the watchdog once per attempt, so a
-/// cancel lands within one measurement and a retry storm never reads as
-/// a stall.
+/// Checks the run token once per attempt, so a cancel lands within one
+/// measurement.
 bool acquire_slot(ShardState& work, ShardState& rig, const ChunkContext& ctx,
                   std::size_t c) {
   const CampaignConfig& cfg = ctx.cfg;
@@ -370,11 +313,9 @@ bool acquire_slot(ShardState& work, ShardState& rig, const ChunkContext& ctx,
                                cfg.samples_per_category, c, s);
   std::size_t transient_attempts = 0;
   std::size_t invalid_attempts = 0;
-  std::size_t outlier_retries = 0;
   std::size_t attempt = work.slot_attempts[c];
   for (;;) {
     ctx.token.check();
-    if (ctx.watchdog) ctx.watchdog->beat(rig.index);
     hpc::CounterSample sample;
     ++work.diag.measurements_attempted;
     try {
@@ -410,7 +351,7 @@ bool acquire_slot(ShardState& work, ShardState& rig, const ChunkContext& ctx,
       for (hpc::HpcEvent e : hpc::all_events()) {
         const std::size_t idx = static_cast<std::size_t>(e);
         if (work.active[idx] &&
-            work.consecutive_missing[idx] >= cfg.event_drop_after)
+            work.consecutive_missing[idx] >= kEventDropAfter)
           drop_event(work, e);
       }
       if (work.active_count() == 0)
@@ -429,30 +370,6 @@ bool acquire_slot(ShardState& work, ShardState& rig, const ChunkContext& ctx,
           return false;
         }
         continue;
-      }
-    }
-
-    // Quarantine context-switch/interrupt pollution instead of letting
-    // it widen (or fake) a distribution.
-    if (cfg.outlier_mad_threshold > 0.0 &&
-        outlier_retries < cfg.max_outlier_retries) {
-      bool outlier = false;
-      for (hpc::HpcEvent e : hpc::all_events()) {
-        const std::size_t idx = static_cast<std::size_t>(e);
-        if (!work.active[idx]) continue;
-        const auto& cell = work.cells[idx][c];
-        if (cell.size() < cfg.outlier_min_baseline) continue;
-        const double value = static_cast<double>(sample[e]);
-        if (robust_isolation(cell, value, cfg.outlier_mad_floor) >
-            cfg.outlier_mad_threshold) {
-          outlier = true;
-          ++work.diag.outliers_quarantined;
-          work.diag.quarantined[idx].push_back(value);
-        }
-      }
-      if (outlier) {
-        ++outlier_retries;
-        continue;  // re-measure this slot
       }
     }
 
@@ -486,7 +403,6 @@ void run_shard_chunk(ShardState& work, ShardState& rig,
     // adopting rig already warmed for its own shard does not re-warm.
     for (std::size_t w = 0; w < cfg.warmup_measurements; ++w) {
       ctx.token.check();
-      if (ctx.watchdog) ctx.watchdog->beat(rig.index);
       try {
         (void)raw_measure(rig, rig, ctx, w % ctx.pools.size(), 0,
                           warmup_key(rig.index, w));
@@ -746,26 +662,6 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
 
   util::CancelToken token = acquisition::run_token(cfg.cancel, cfg.deadline);
 
-  std::vector<std::size_t> stalled_lanes;
-  std::mutex stalled_mutex;
-  std::unique_ptr<util::Watchdog> watchdog;
-  if (cfg.stall_timeout > std::chrono::milliseconds::zero()) {
-    util::WatchdogConfig wcfg;
-    wcfg.quiet_window = cfg.stall_timeout;
-    wcfg.poll_interval = cfg.watchdog_poll;
-    watchdog = std::make_unique<util::Watchdog>(
-        nshards, wcfg, [&token, &stalled_lanes, &stalled_mutex](
-                           std::size_t lane) {
-          {
-            std::lock_guard<std::mutex> lock(stalled_mutex);
-            stalled_lanes.push_back(lane);
-          }
-          token.cancel_with(util::CancelReason::kStalled,
-                            "shard " + std::to_string(lane) +
-                                " made no progress within the stall window");
-        });
-  }
-
   // Failover bookkeeping: rig_of[k] names the shard whose *instrument*
   // executes shard k's work.  Identity while everything is healthy; when
   // a rig is declared lost its work states are re-homed round-robin over
@@ -777,9 +673,6 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
   const std::size_t base_recorded = base.measurements_recorded;
   const std::size_t target_total = ncat * per_cat;
   std::size_t checkpoints_total = base.checkpoints_written;
-  const std::size_t budget = cfg.stop_after_measurements == 0
-                                 ? std::numeric_limits<std::size_t>::max()
-                                 : cfg.stop_after_measurements;
   std::size_t recorded_this_run = 0;
   StopReason stop_reason = StopReason::kCompleted;
 
@@ -822,14 +715,9 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
       d.transient_faults += sh->diag.transient_faults;
       d.failed_measurements += sh->diag.failed_measurements;
       d.incomplete_samples += sh->diag.incomplete_samples;
-      d.outliers_quarantined += sh->diag.outliers_quarantined;
       d.failed_over_measurements += sh->diag.failed_over_measurements;
-      for (std::size_t i = 0; i < hpc::kNumEvents; ++i) {
+      for (std::size_t i = 0; i < hpc::kNumEvents; ++i)
         d.missing_event_counts[i] += sh->diag.missing_event_counts[i];
-        d.quarantined[i].insert(d.quarantined[i].end(),
-                                sh->diag.quarantined[i].begin(),
-                                sh->diag.quarantined[i].end());
-      }
     }
     d.dropped_events = dropped;
     d.complete = total_remaining() == 0;
@@ -842,16 +730,6 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
         std::unique(d.lost_instrument_shards.begin(),
                     d.lost_instrument_shards.end()),
         d.lost_instrument_shards.end());
-    {
-      std::lock_guard<std::mutex> lock(stalled_mutex);
-      d.stalled_shards = base.stalled_shards;
-      d.stalled_shards.insert(d.stalled_shards.end(), stalled_lanes.begin(),
-                              stalled_lanes.end());
-    }
-    std::sort(d.stalled_shards.begin(), d.stalled_shards.end());
-    d.stalled_shards.erase(
-        std::unique(d.stalled_shards.begin(), d.stalled_shards.end()),
-        d.stalled_shards.end());
     d.shard_recorded.assign(nshards, std::vector<std::size_t>(ncat, 0));
     for (std::size_t k = 0; k < nshards; ++k)
       for (std::size_t c = 0; c < ncat; ++c)
@@ -877,7 +755,7 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
                 : 0;
 
   // Flush a checkpoint unconditionally — the supervision contract: a
-  // cancelled, deadline'd or stalled run leaves a resumable file behind
+  // cancelled or deadline'd run leaves a resumable file behind
   // whenever a checkpoint path is configured (even with periodic
   // checkpointing off).
   auto flush_checkpoint = [&] {
@@ -925,15 +803,9 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
   for (;;) {
     const std::size_t remaining = total_remaining();
     if (remaining == 0) break;
-    if (recorded_this_run >= budget) {
-      util::log_info("campaign: stopping early after ", recorded_this_run,
-                     " measurements (stop_after_measurements)");
-      stop_reason = StopReason::kMeasurementBudget;
-      break;
-    }
     if (token.cancelled()) break;  // classified after the loop
 
-    std::size_t chunk = std::min(remaining, budget - recorded_this_run);
+    std::size_t chunk = remaining;
     {
       const std::size_t done = base_recorded + recorded_this_run;
       if (next_checkpoint_at != std::numeric_limits<std::size_t>::max())
@@ -969,24 +841,11 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
     for (std::size_t k = 0; k < nshards; ++k)
       if (quotas[k] > 0) lane_states[rig_of[k]].push_back(k);
 
-    // New watchdog cycle with no lane armed yet: each lane arms itself
-    // when its task actually starts executing and retires itself when it
-    // finishes, so lanes queued behind a small pool — or already done
-    // while a sibling still measures — cannot be mistaken for stalls.
-    if (watchdog) watchdog->arm(std::vector<bool>(nshards, false));
-
-    ChunkContext ctx{cfg, pools, token, watchdog.get()};
+    ChunkContext ctx{cfg, pools, token};
     auto run_lane = [&ctx, &shards, &quotas](
                         ShardState* rig, const std::vector<std::size_t>& st) {
-      if (ctx.watchdog) ctx.watchdog->arm_lane(rig->index);
-      try {
-        for (std::size_t k : st)
-          run_shard_chunk(*shards[k], *rig, ctx, quotas[k]);
-      } catch (...) {
-        if (ctx.watchdog) ctx.watchdog->clear(rig->index);
-        throw;
-      }
-      if (ctx.watchdog) ctx.watchdog->clear(rig->index);
+      for (std::size_t k : st)
+        run_shard_chunk(*shards[k], *rig, ctx, quotas[k]);
     };
 
     if (pool) {
@@ -1014,7 +873,6 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
         }
       }
     }
-    if (watchdog) watchdog->disarm();
 
     // Barrier-time error triage, in deterministic (lane-index) order:
     // real defects rethrow (lowest lane wins), InstrumentLost marks the

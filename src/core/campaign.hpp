@@ -8,11 +8,11 @@
 // Acquisition is fault-tolerant: transient provider failures are retried
 // under a bounded RetryPolicy, samples missing expected events are
 // discarded and re-measured, an event that stays missing is dropped from
-// the campaign (its cells cleared, the drop reported), and MAD-based
-// outliers can be quarantined out of the distributions.  Everything the
+// the campaign (its cells cleared, the drop reported).  Everything the
 // campaign absorbed or discarded is accounted for in CampaignDiagnostics,
 // and partial progress can be checkpointed to JSON and resumed (see
-// core/checkpoint.hpp).
+// core/checkpoint.hpp).  A run stops early only through its CancelToken
+// (an explicit cancel or the wall-clock deadline).
 //
 // Acquisition is sharded: the per-category sample budget is partitioned
 // deterministically into `num_shards` contiguous index ranges, each shard
@@ -56,11 +56,9 @@ enum class RunStatus { kComplete, kPartial };
 /// status() == kPartial (and, when a checkpoint path is configured, a
 /// flushed checkpoint to resume from).
 enum class StopReason {
-  kCompleted,          ///< full sample budget acquired
-  kMeasurementBudget,  ///< stop_after_measurements reached
-  kCancelled,          ///< the run's CancelToken was tripped
-  kDeadline,           ///< the run's wall-clock deadline expired
-  kShardStalled,       ///< the watchdog declared a shard stuck
+  kCompleted,  ///< full sample budget acquired
+  kCancelled,  ///< the run's CancelToken was tripped
+  kDeadline,   ///< the run's wall-clock deadline expired
 };
 
 std::string to_string(StopReason reason);
@@ -109,30 +107,6 @@ struct CampaignConfig {
   /// their retry budget — the provider is beyond salvage.  Sharded runs
   /// apply the cap per shard and to the merged total.
   std::size_t max_failed_measurements = 100;
-  /// Consecutive samples an expected event may be missing from before it
-  /// is declared permanently lost and dropped from the campaign.  Streaks
-  /// are tracked per shard; a drop in any shard drops the event globally.
-  std::size_t event_drop_after = 8;
-  /// Robust isolation score (distance from the *nearest* value recorded
-  /// in the cell so far, in 1.4826*MAD units) above which a value is
-  /// quarantined as context-switch/interrupt pollution and the
-  /// measurement re-taken.  Nearest-value distance rather than
-  /// distance-from-median, because cells mix the workload's distinct
-  /// inputs and are legitimately multimodal.  0 disables quarantine.
-  /// The baseline a value is scored against is the acquiring shard's own
-  /// cell content (shard-deterministic by construction).
-  double outlier_mad_threshold = 0.0;
-  /// A cell must hold this many samples before quarantine activates.
-  std::size_t outlier_min_baseline = 16;
-  /// Floor on the MAD scale, as a fraction of the cell median.  Counters
-  /// that are near-constant have vanishing MAD, which would turn benign
-  /// run-to-run variation into many "robust sigmas"; the floor keeps the
-  /// screen aimed at multiplicative pollution (context switches inflating
-  /// the whole sample), not at quantization-level noise.
-  double outlier_mad_floor = 0.02;
-  /// Re-measurements allowed per slot before an outlier-looking sample
-  /// is accepted anyway (prevents livelock on a genuinely shifted cell).
-  std::size_t max_outlier_retries = 3;
 
   // --- Supervision ------------------------------------------------------
 
@@ -147,15 +121,6 @@ struct CampaignConfig {
   /// deadline armed on a child of `cancel`; expiry stops the run the
   /// same cooperative way with StopReason::kDeadline.
   std::chrono::milliseconds deadline{0};
-  /// Watchdog quiet window (0 = watchdog off): a shard that records no
-  /// heartbeat for this long while it has work is declared stalled, the
-  /// run token is tripped with CancelReason::kStalled, and the run winds
-  /// down to a Partial result with StopReason::kShardStalled.  Shards
-  /// beat once per measurement *attempt*, so retry storms do not trip it
-  /// — only a rig that stops returning does.
-  std::chrono::milliseconds stall_timeout{0};
-  /// Watchdog poll cadence (0 = stall_timeout / 4).
-  std::chrono::milliseconds watchdog_poll{0};
   /// Consecutive retry-exhausted slots on one instrument before that
   /// instrument is declared lost (util-error InstrumentLost) and its
   /// shard's remaining slots fail over to healthy instruments (0 =
@@ -166,7 +131,7 @@ struct CampaignConfig {
   /// for providers whose values do not depend on the rig instance.
   std::size_t instrument_lost_after = 0;
 
-  // --- Checkpoint / early stop -----------------------------------------
+  // --- Checkpoint -------------------------------------------------------
 
   /// Write a checkpoint to `checkpoint_path` every this many recorded
   /// measurements (0 disables checkpointing).  Sharded runs checkpoint at
@@ -174,13 +139,9 @@ struct CampaignConfig {
   std::size_t checkpoint_every = 0;
   /// Destination file for checkpoints (required if checkpoint_every > 0).
   /// May also be set with checkpoint_every == 0: the run then checkpoints
-  /// only when supervision stops it (cancel/deadline/stall or a lost
-  /// final instrument), so an evicted job is always resumable.
+  /// only when supervision stops it (cancel/deadline or a lost final
+  /// instrument), so an evicted job is always resumable.
   std::string checkpoint_path;
-  /// Stop after this many recorded measurements in this run and return
-  /// the partial result (0 = run to completion).  Used to bound a run's
-  /// budget and to test kill/resume.
-  std::size_t stop_after_measurements = 0;
 
   /// Field validation (ranges, required pairings).  Throws a structured
   /// util-error ValidationError (domain/field/constraint) on the first
@@ -208,14 +169,8 @@ struct CampaignDiagnostics {
   std::size_t failed_measurements = 0;
   /// Samples discarded because an expected event was missing.
   std::size_t incomplete_samples = 0;
-  /// Values diverted into `quarantined` instead of the distributions.
-  std::size_t outliers_quarantined = 0;
   /// Per-event count of samples the event was missing from.
   std::array<std::size_t, hpc::kNumEvents> missing_event_counts{};
-  /// The quarantined outlier values, per event (kept for inspection —
-  /// a countermeasure could hide leakage inside "outliers").  Sharded
-  /// runs concatenate the shards' quarantine bins in shard order.
-  std::array<std::vector<double>, hpc::kNumEvents> quarantined{};
   /// Events dropped mid-campaign after persistent loss; their cells are
   /// cleared and excluded from the result.
   std::vector<hpc::HpcEvent> dropped_events;
@@ -228,8 +183,6 @@ struct CampaignDiagnostics {
   /// Shards whose instrument was declared lost (InstrumentLost) during
   /// this campaign, cumulative across resumed legs.
   std::vector<std::size_t> lost_instrument_shards;
-  /// Shards the watchdog flagged as stalled when the run stopped.
-  std::vector<std::size_t> stalled_shards;
   /// Measurements recorded on a healthy instrument on behalf of a shard
   /// whose own instrument had been lost (the failover path).
   std::size_t failed_over_measurements = 0;

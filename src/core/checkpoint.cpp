@@ -165,21 +165,11 @@ std::string checkpoint_to_json(const CampaignCheckpoint& cp) {
       .value(static_cast<std::uint64_t>(d.failed_measurements));
   w.key("incomplete_samples")
       .value(static_cast<std::uint64_t>(d.incomplete_samples));
-  w.key("outliers_quarantined")
-      .value(static_cast<std::uint64_t>(d.outliers_quarantined));
   w.key("missing_event_counts").begin_object();
   for (hpc::HpcEvent e : hpc::all_events())
     w.key(hpc::to_string(e))
         .value(static_cast<std::uint64_t>(
             d.missing_event_counts[static_cast<std::size_t>(e)]));
-  w.end_object();
-  w.key("quarantined").begin_object();
-  for (hpc::HpcEvent e : hpc::all_events()) {
-    w.key(hpc::to_string(e)).begin_array();
-    for (double v : d.quarantined[static_cast<std::size_t>(e)])
-      w.value_exact(v);
-    w.end_array();
-  }
   w.end_object();
   w.key("dropped_events");
   write_event_name_array(w, d.dropped_events);
@@ -194,10 +184,6 @@ std::string checkpoint_to_json(const CampaignCheckpoint& cp) {
   w.key("stop_reason").value(to_string(d.stop_reason));
   w.key("lost_instrument_shards").begin_array();
   for (std::size_t k : d.lost_instrument_shards)
-    w.value(static_cast<std::uint64_t>(k));
-  w.end_array();
-  w.key("stalled_shards").begin_array();
-  for (std::size_t k : d.stalled_shards)
     w.value(static_cast<std::uint64_t>(k));
   w.end_array();
   w.key("failed_over_measurements")
@@ -253,16 +239,10 @@ CampaignCheckpoint checkpoint_from_json(const std::string& json) {
       static_cast<std::size_t>(diag.at("failed_measurements").as_int());
   d.incomplete_samples =
       static_cast<std::size_t>(diag.at("incomplete_samples").as_int());
-  d.outliers_quarantined =
-      static_cast<std::size_t>(diag.at("outliers_quarantined").as_int());
-  for (hpc::HpcEvent e : hpc::all_events()) {
+  for (hpc::HpcEvent e : hpc::all_events())
     d.missing_event_counts[static_cast<std::size_t>(e)] =
         static_cast<std::size_t>(
             diag.at("missing_event_counts").at(hpc::to_string(e)).as_int());
-    for (const auto& v :
-         diag.at("quarantined").at(hpc::to_string(e)).items())
-      d.quarantined[static_cast<std::size_t>(e)].push_back(v.as_number());
-  }
   d.dropped_events = read_event_name_array(diag.at("dropped_events"));
   d.unsupported_events = read_event_name_array(diag.at("unsupported_events"));
   d.complete = diag.at("complete").as_bool();
@@ -272,8 +252,6 @@ CampaignCheckpoint checkpoint_from_json(const std::string& json) {
   d.stop_reason = parse_stop_reason(diag.at("stop_reason").as_string());
   for (const auto& k : diag.at("lost_instrument_shards").items())
     d.lost_instrument_shards.push_back(static_cast<std::size_t>(k.as_int()));
-  for (const auto& k : diag.at("stalled_shards").items())
-    d.stalled_shards.push_back(static_cast<std::size_t>(k.as_int()));
   d.failed_over_measurements =
       static_cast<std::size_t>(diag.at("failed_over_measurements").as_int());
   for (const auto& row : diag.at("shard_recorded").items()) {

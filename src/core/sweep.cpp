@@ -428,8 +428,8 @@ SweepResult Campaign::sweep_internal(const SweepConfig& cfg,
     const std::uint64_t slot = acquisition::global_slot(
         cfg.interleave_categories, ncat, per_cat, c, s);
     // The live campaign records every slot on its first attempt (the
-    // simulated provider neither faults nor loses events, and the sweep
-    // schedule has no outlier screen), so attempt is always 0.
+    // simulated provider neither faults nor loses events), so attempt is
+    // always 0.
     const std::uint64_t key = acquisition::slot_key(slot, 0);
     const std::size_t input_index = s % pools[c].size();
     record(*pools[c][input_index]);

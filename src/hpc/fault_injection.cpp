@@ -1,7 +1,5 @@
 #include "hpc/fault_injection.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace sce::hpc {
@@ -16,10 +14,6 @@ FaultInjectingProvider::FaultInjectingProvider(CounterProvider& inner,
   };
   check_rate(config_.transient_rate, "transient_rate");
   check_rate(config_.event_drop_rate, "event_drop_rate");
-  check_rate(config_.outlier_rate, "outlier_rate");
-  if (config_.outlier_factor < 0.0)
-    throw InvalidArgument(
-        "FaultInjectingProvider: outlier_factor must be >= 0");
 }
 
 std::vector<HpcEvent> FaultInjectingProvider::supported_events() const {
@@ -81,16 +75,6 @@ CounterSample FaultInjectingProvider::read() {
   throw_if_dead("read");
   maybe_throw("read", config_.faulty_read);
   CounterSample sample = inner_.read();
-
-  if (config_.outlier_rate > 0.0 && rng_.chance(config_.outlier_rate)) {
-    ++stats_.outliers_injected;
-    for (HpcEvent e : all_events()) {
-      if (!sample.has(e)) continue;
-      const double spiked = static_cast<double>(sample[e]) *
-                            (1.0 + config_.outlier_factor);
-      sample.set(e, static_cast<std::uint64_t>(std::llround(spiked)));
-    }
-  }
 
   if (config_.event_drop_rate > 0.0) {
     for (HpcEvent e : all_events()) {

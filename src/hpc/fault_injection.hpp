@@ -3,9 +3,8 @@
 // Reproduces, deterministically, the failure modes of real HPC
 // acquisition on a shared host: transient syscall failures on
 // start/stop/read, events missing from individual samples (counter not
-// scheduled / read failed), outlier spikes from context switches and
-// interrupts landing inside a measurement, and an event dying
-// permanently mid-campaign (e.g. a PMU watchdog claiming a counter).
+// scheduled / read failed), an event dying permanently mid-campaign
+// (e.g. a PMU watchdog claiming a counter), and a whole instrument dying.
 //
 // All randomness comes from one seeded Rng, so any observed failure
 // sequence can be replayed exactly — the decorator doubles as the
@@ -33,12 +32,6 @@ struct FaultConfig {
   bool faulty_read = true;
   /// Per-event probability that a read() omits the event from the sample.
   double event_drop_rate = 0.0;
-  /// Probability that a read() returns a polluted sample: every present
-  /// event is inflated by `outlier_factor` (a context switch perturbs the
-  /// whole counter set at once).
-  double outlier_rate = 0.0;
-  /// Multiplier applied to a polluted sample's values (value *= 1+factor).
-  double outlier_factor = 25.0;
   /// If set, this event disappears from every sample once
   /// `permanent_fail_after` successful reads have been delivered —
   /// a counter lost for good mid-campaign.
@@ -63,7 +56,6 @@ struct FaultStats {
   std::size_t read_calls = 0;
   std::size_t transient_failures = 0;
   std::size_t events_dropped = 0;
-  std::size_t outliers_injected = 0;
   /// start() minus stop() deliveries that reached the inner provider;
   /// a leak-free consumer leaves this at 0 between measurements.
   int running_depth = 0;

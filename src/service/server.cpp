@@ -259,12 +259,6 @@ void EvaluationServer::finish_leg_locked(Job& job, core::CampaignResult result,
                                std::to_string(job.config.deadline.count()) +
                                " ms exceeded");
       return;
-    case core::StopReason::kShardStalled:
-      fail_job_locked(job, "campaign shard stalled");
-      return;
-    case core::StopReason::kMeasurementBudget:
-      fail_job_locked(job, "campaign stopped on an unexpected budget");
-      return;
   }
   fail_job_locked(job, "campaign stopped for an unknown reason");
 }

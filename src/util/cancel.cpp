@@ -65,11 +65,6 @@ void CancelToken::cancel(const std::string& why) {
   state_->trip(CancelReason::kCancelled, why);
 }
 
-void CancelToken::cancel_with(CancelReason reason, const std::string& why) {
-  if (reason == CancelReason::kNone) return;
-  state_->trip(reason, why);
-}
-
 void CancelToken::set_deadline_after(std::chrono::milliseconds budget) {
   state_->deadline = std::chrono::steady_clock::now() + budget;
   state_->has_deadline.store(true, std::memory_order_release);
@@ -104,8 +99,6 @@ void CancelToken::check() const {
       throw Cancelled(message());
     case CancelReason::kDeadline:
       throw DeadlineExceeded(message());
-    case CancelReason::kStalled:
-      throw ShardStalled(message());
   }
 }
 

@@ -23,14 +23,11 @@
 
 namespace sce::util {
 
-/// Why a token reports cancelled.  kStalled is reserved for supervision
-/// machinery (the Watchdog) so a stall-triggered stop is distinguishable
-/// from a user cancel in diagnostics and in the thrown error type.
+/// Why a token reports cancelled.
 enum class CancelReason : std::uint8_t {
   kNone = 0,
   kCancelled,  ///< explicit cancel()
   kDeadline,   ///< wall-clock deadline expired
-  kStalled,    ///< a supervisor declared the work stalled
 };
 
 class CancelToken {
@@ -45,8 +42,6 @@ class CancelToken {
 
   /// Trip the token (first reason wins; later calls are no-ops).
   void cancel(const std::string& why = "cancelled");
-  /// Trip with an explicit reason — how the Watchdog reports a stall.
-  void cancel_with(CancelReason reason, const std::string& why);
 
   /// Arm a deadline `budget` from now (replaces any earlier deadline on
   /// this token; ancestors keep their own).  A non-positive budget trips
@@ -61,7 +56,7 @@ class CancelToken {
   std::string message() const;
 
   /// Throw the taxonomy error matching reason() if cancelled:
-  /// Cancelled, DeadlineExceeded or ShardStalled.  No-op otherwise.
+  /// Cancelled or DeadlineExceeded.  No-op otherwise.
   void check() const;
 
  private:

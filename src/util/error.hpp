@@ -70,14 +70,14 @@ class TransientFailure : public Error {
 };
 
 // --- Supervision taxonomy ------------------------------------------------
-// The supervised execution runtime (util/cancel.hpp, util/watchdog.hpp,
-// core::Campaign) stops work through these four types rather than a bare
-// Error, so drivers can tell a user cancel from a blown deadline from a
-// sick instrument and react per cause.  Campaign::run/sweep themselves
-// translate Cancelled/DeadlineExceeded/ShardStalled raised inside their
-// shards into a Partial result with a flushed checkpoint; the types still
-// escape from code without a partial-result channel (CancelToken::check
-// in user workloads, the fixed-vs-random screen).
+// The supervised execution runtime (util/cancel.hpp, core::Campaign)
+// stops work through these types rather than a bare Error, so drivers
+// can tell a user cancel from a blown deadline from a sick instrument and
+// react per cause.  Campaign::run/sweep themselves translate
+// Cancelled/DeadlineExceeded raised inside their shards into a Partial
+// result with a flushed checkpoint; the types still escape from code
+// without a partial-result channel (CancelToken::check in user
+// workloads, the fixed-vs-random screen).
 
 /// Base of the supervision taxonomy: the work was stopped by policy, not
 /// by a defect — completed measurements remain valid.
@@ -96,13 +96,6 @@ class Cancelled : public Interrupted {
 class DeadlineExceeded : public Interrupted {
  public:
   explicit DeadlineExceeded(const std::string& what) : Interrupted(what) {}
-};
-
-/// A Watchdog observed no heartbeat from a shard within its quiet
-/// window — the shard is stuck inside a measurement, not merely slow.
-class ShardStalled : public Interrupted {
- public:
-  explicit ShardStalled(const std::string& what) : Interrupted(what) {}
 };
 
 /// A shard's instrument failed permanently (its RetryPolicy kept

@@ -1,10 +1,9 @@
 // Fault-path coverage for the campaign runtime: transient faults fully
 // by retries, permanent event loss degrading gracefully into diagnostics,
-// MAD outlier quarantine, and checkpoint kill/resume reproducing the
-// uninterrupted result bit-for-bit.
+// and checkpoint kill/resume reproducing the uninterrupted result
+// bit-for-bit.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 
 #include "campaign_helpers.hpp"
@@ -156,63 +155,6 @@ TEST(CampaignFault, HopelessProviderAbortsInsteadOfSpinning) {
                Error);
 }
 
-TEST(CampaignFault, OutlierQuarantineKeepsPollutionOutOfDistributions) {
-  const nn::Sequential model = testing::tiny_model();
-  const data::Dataset ds = testing::tiny_dataset();
-  hpc::SimulatedPmu pmu = quiet_pmu();
-  hpc::FaultConfig faults;
-  faults.outlier_rate = 0.08;
-  faults.outlier_factor = 50.0;  // unmistakable spikes
-  faults.seed = 1;
-  hpc::FaultInjectingProvider provider(pmu, faults);
-
-  CampaignConfig cfg = small_campaign(/*samples=*/24);
-  cfg.outlier_mad_threshold = 8.0;
-  cfg.outlier_min_baseline = 8;
-  const CampaignResult result =
-      testing::run_borrowed(model, ds, provider, pmu, cfg);
-
-  EXPECT_TRUE(result.diagnostics.complete);
-  EXPECT_GT(result.diagnostics.outliers_quarantined, 0u);
-
-  // The screen cannot act before `outlier_min_baseline` samples exist in a
-  // cell, so a spike may land among a cell's first entries.  The guarantee
-  // is about everything after that: no 50x spike survives past the
-  // baseline window, and everything quarantined is an unmistakable spike.
-  double typical = 0.0;  // largest per-cell median; cells are near-constant
-  for (std::size_t c = 0; c < cfg.categories.size(); ++c) {
-    std::vector<double> cell = result.of(hpc::HpcEvent::kInstructions, c);
-    std::vector<double> sorted = cell;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
-    typical = std::max(typical, median);
-    for (std::size_t i = cfg.outlier_min_baseline; i < cell.size(); ++i)
-      EXPECT_LT(cell[i], median * 10) << "category " << c << " sample " << i;
-  }
-  const auto& q = result.diagnostics.quarantined[static_cast<std::size_t>(
-      hpc::HpcEvent::kInstructions)];
-  ASSERT_FALSE(q.empty());
-  for (double v : q) EXPECT_GT(v, typical * 10);
-}
-
-TEST(CampaignFault, OutlierScreenIgnoresBenignVariation) {
-  // With no injected pollution, nothing may be quarantined: the simulated
-  // counters are near-constant per cell, and without the MAD floor the
-  // benign per-image variation scores as dozens of "robust sigmas".
-  const nn::Sequential model = testing::tiny_model();
-  const data::Dataset ds = testing::tiny_dataset();
-  hpc::SimulatedPmu pmu = quiet_pmu();
-
-  CampaignConfig cfg = small_campaign(/*samples=*/24);
-  cfg.outlier_mad_threshold = 8.0;
-  cfg.outlier_min_baseline = 8;
-  const CampaignResult result =
-      testing::run_borrowed(model, ds, pmu, cfg);
-
-  EXPECT_TRUE(result.diagnostics.complete);
-  EXPECT_EQ(result.diagnostics.outliers_quarantined, 0u);
-}
-
 TEST(CampaignFault, DiagnosticsSummaryMentionsDegradation) {
   CampaignDiagnostics diag;
   diag.measurements_recorded = 10;
@@ -252,8 +194,6 @@ TEST(CampaignCheckpoint, JsonRoundTripPreservesEverything) {
   partial.diagnostics.transient_faults = 3;
   partial.diagnostics.dropped_events = {hpc::HpcEvent::kBusCycles};
   partial.diagnostics.missing_event_counts[2] = 9;
-  partial.diagnostics.quarantined[0] = {1234.5, 6789.0};
-  partial.diagnostics.outliers_quarantined = 2;
   CampaignConfig cfg;
   cfg.categories = {0, 1};
   cfg.samples_per_category = 20;
@@ -272,8 +212,6 @@ TEST(CampaignCheckpoint, JsonRoundTripPreservesEverything) {
   EXPECT_EQ(back.partial.diagnostics.dropped_events[0],
             hpc::HpcEvent::kBusCycles);
   EXPECT_EQ(back.partial.diagnostics.missing_event_counts[2], 9u);
-  EXPECT_EQ(back.partial.diagnostics.quarantined[0],
-            (std::vector<double>{1234.5, 6789.0}));
 }
 
 TEST(CampaignCheckpoint, RejectsForeignDocuments) {
@@ -321,6 +259,58 @@ TEST(CampaignCheckpoint, KilledCampaignResumesBitForBit) {
   EXPECT_TRUE(resumed.diagnostics.complete);
   EXPECT_TRUE(resumed.diagnostics.resumed);
   EXPECT_TRUE(same_distributions(uninterrupted, resumed));
+}
+
+TEST(CampaignCheckpoint, ParentFormatWithRemovedKeysStillLoads) {
+  // Earlier v3 writers also recorded an outlier quarantine and the shards
+  // a stall watchdog flagged.  The reader ignores those keys, so such a
+  // file still resumes; only a stop reason that no longer exists is
+  // refused.
+  const nn::Sequential model = testing::tiny_model();
+  const data::Dataset ds = testing::tiny_dataset();
+  const CampaignConfig cfg = small_campaign(/*samples=*/5);
+  auto instruments = testing::trace_pure_factory();
+  const CampaignResult uninterrupted =
+      Campaign(model, ds, instruments).with_config(cfg).run();
+
+  Campaign first_leg(model, ds, instruments);
+  const CampaignResult partial = testing::run_until(first_leg, cfg, 7);
+  ASSERT_EQ(partial.diagnostics.measurements_recorded, 7u);
+  const std::string json = checkpoint_to_json(make_checkpoint(partial, cfg));
+
+  std::string removed = "\"outliers_quarantined\":2,\"quarantined\":{";
+  for (hpc::HpcEvent e : hpc::all_events()) {
+    if (e != hpc::all_events().front()) removed += ",";
+    removed += "\"" + hpc::to_string(e) + "\":";
+    removed += e == hpc::HpcEvent::kInstructions ? "[1234.5,6789]" : "[]";
+  }
+  removed += "},\"stalled_shards\":[1],";
+  const std::string stop_key = "\"stop_reason\":\"cancelled\"";
+  const std::size_t at = json.find(stop_key);
+  ASSERT_NE(at, std::string::npos);
+  std::string parent_json = json;
+  parent_json.insert(at, removed);
+
+  const CampaignCheckpoint loaded = checkpoint_from_json(parent_json);
+  EXPECT_EQ(loaded.version, 3);
+  EXPECT_EQ(loaded.partial.diagnostics.measurements_recorded, 7u);
+  const CampaignResult resumed =
+      Campaign(model, ds, instruments).with_config(cfg).resume(loaded);
+  EXPECT_TRUE(resumed.diagnostics.complete);
+  EXPECT_TRUE(same_distributions(uninterrupted, resumed));
+
+  for (const std::string reason : {"measurement-budget", "shard-stalled"}) {
+    std::string stale = parent_json;
+    stale.replace(stale.find(stop_key), stop_key.size(),
+                  "\"stop_reason\":\"" + reason + "\"");
+    try {
+      (void)checkpoint_from_json(stale);
+      ADD_FAILURE() << "loaded a checkpoint stopped by " << reason;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CampaignCheckpoint, ResumeRejectsMismatchedConfig) {

@@ -1,6 +1,5 @@
 // Supervised-execution coverage: cooperative cancellation, deadlines,
-// watchdog stalls, instrument-loss failover and the crash-safe
-// checkpoint format (CRC footer, .prev rotation, .corrupt quarantine).
+// instrument-loss failover and the crash-safe checkpoint format (CRC footer, .prev rotation, .corrupt quarantine).
 // The load-bearing claim everywhere is bit-identity: however a run is
 // interrupted, resuming it reproduces the uninterrupted result exactly.
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,43 +55,6 @@ bool same_samples(const CampaignResult& a, const CampaignResult& b) {
   return true;
 }
 
-/// A TracePurePmu whose read() goes quiet once: on the `sleep_on_read`-th
-/// read it naps long enough to blow any reasonable watchdog window.
-/// Everything else forwards, so recorded values stay trace-pure.
-class SleepyPmu final : public hpc::CounterProvider,
-                        public uarch::TraceSink {
- public:
-  SleepyPmu(std::size_t sleep_on_read, std::chrono::milliseconds nap)
-      : sleep_on_read_(sleep_on_read), nap_(nap) {}
-
-  std::string name() const override { return "sleepy-" + inner_.name(); }
-  std::vector<hpc::HpcEvent> supported_events() const override {
-    return inner_.supported_events();
-  }
-  void start() override { inner_.start(); }
-  void stop() override { inner_.stop(); }
-  hpc::CounterSample read() override {
-    if (++reads_ == sleep_on_read_) std::this_thread::sleep_for(nap_);
-    return inner_.read();
-  }
-
-  void load(const void* a, std::size_t b) override { inner_.load(a, b); }
-  void store(const void* a, std::size_t b) override { inner_.store(a, b); }
-  void branch(std::uintptr_t pc, bool taken) override {
-    inner_.branch(pc, taken);
-  }
-  void structural_branches(std::uint64_t n) override {
-    inner_.structural_branches(n);
-  }
-  void retire(std::uint64_t n) override { inner_.retire(n); }
-
- private:
-  TracePurePmu inner_;
-  std::size_t reads_ = 0;
-  std::size_t sleep_on_read_;
-  std::chrono::milliseconds nap_;
-};
-
 /// Factory minting trace-pure rigs where the listed shards' instruments
 /// die (every call throws TransientFailure) after `die_after_reads`
 /// successful reads — the deterministic stand-in for a PMU session the
@@ -126,10 +87,8 @@ CampaignConfig supervised_config(std::size_t samples = 5,
 // --- Stop-reason plumbing -------------------------------------------------
 
 TEST(StopReason, NamesRoundTrip) {
-  for (StopReason r :
-       {StopReason::kCompleted, StopReason::kMeasurementBudget,
-        StopReason::kCancelled, StopReason::kDeadline,
-        StopReason::kShardStalled})
+  for (StopReason r : {StopReason::kCompleted, StopReason::kCancelled,
+                       StopReason::kDeadline})
     EXPECT_EQ(parse_stop_reason(to_string(r)), r);
   EXPECT_THROW(parse_stop_reason("out-of-coffee"), InvalidArgument);
 }
@@ -138,12 +97,6 @@ TEST(StopReason, ValidateRejectsNegativeSupervisionBudgets) {
   CampaignConfig cfg;
   cfg.deadline = -1ms;
   EXPECT_THROW(cfg.validate(), InvalidArgument);
-  cfg = CampaignConfig{};
-  cfg.stall_timeout = -1ms;
-  EXPECT_THROW(cfg.validate(), InvalidArgument);
-  cfg = CampaignConfig{};
-  cfg.watchdog_poll = -1ms;
-  EXPECT_THROW(cfg.validate(), InvalidArgument);
 }
 
 TEST(StopReason, SummaryNamesSupervisionEvents) {
@@ -151,12 +104,10 @@ TEST(StopReason, SummaryNamesSupervisionEvents) {
   diag.stop_reason = StopReason::kCancelled;
   diag.lost_instrument_shards = {2};
   diag.failed_over_measurements = 9;
-  diag.stalled_shards = {1};
   const std::string s = diag.summary();
   EXPECT_NE(s.find("cancelled"), std::string::npos);
   EXPECT_NE(s.find("lost instruments on shards: 2"), std::string::npos);
   EXPECT_NE(s.find("9 failed over"), std::string::npos);
-  EXPECT_NE(s.find("stalled shards: 1"), std::string::npos);
 }
 
 // --- Cancellation ---------------------------------------------------------
@@ -343,53 +294,6 @@ TEST(Supervision, AllInstrumentsLostThrowsAfterCheckpointFlush) {
   // The loss stays on the record across the resume.
   EXPECT_EQ(resumed.diagnostics.lost_instrument_shards,
             std::vector<std::size_t>{0});
-}
-
-// --- Watchdog ---------------------------------------------------------------
-
-TEST(Supervision, WatchdogStallStopsRunWithStalledShardOnRecord) {
-  const nn::Sequential model = tiny_model();
-  const data::Dataset ds = tiny_dataset();
-  CampaignConfig cfg = supervised_config(/*samples=*/6, /*shards=*/2);
-  cfg.num_threads = 2;
-  cfg.warmup_measurements = 1;
-  cfg.stall_timeout = 60ms;
-  cfg.watchdog_poll = 10ms;
-  cfg.checkpoint_path = scratch_path("sce_sup_stall.json");
-
-  auto ref_factory = trace_pure_factory();
-  CampaignConfig ref_cfg = cfg;
-  ref_cfg.stall_timeout = 0ms;
-  ref_cfg.checkpoint_path.clear();
-  const CampaignResult reference =
-      Campaign(model, ds, ref_factory).with_config(ref_cfg).run();
-
-  // Shard 1's rig goes quiet for 500ms on its third read (1 warmup +
-  // 2 measurements in) — far beyond the 60ms quiet window.
-  auto factory = hpc::CallbackInstrumentFactory(
-      [](std::size_t shard, std::size_t) {
-        if (shard == 1)
-          return hpc::Instrument::adopt(
-              std::make_unique<SleepyPmu>(/*sleep_on_read=*/3, 500ms));
-        return hpc::Instrument::adopt(std::make_unique<TracePurePmu>());
-      },
-      "sleepy-trace-pure");
-  const CampaignResult partial =
-      Campaign(model, ds, factory).with_config(cfg).run();
-
-  EXPECT_EQ(partial.status(), RunStatus::kPartial);
-  EXPECT_EQ(partial.diagnostics.stop_reason, StopReason::kShardStalled);
-  ASSERT_FALSE(partial.diagnostics.stalled_shards.empty());
-  EXPECT_EQ(partial.diagnostics.stalled_shards.front(), 1u);
-
-  // Operators swap the stuck rig and resume; the merged result is the
-  // healthy run's, bit for bit.
-  const CampaignCheckpoint cp = load_checkpoint(cfg.checkpoint_path);
-  auto factory_b = trace_pure_factory();
-  const CampaignResult resumed =
-      Campaign(model, ds, factory_b).with_config(ref_cfg).resume(cp);
-  EXPECT_EQ(resumed.status(), RunStatus::kComplete);
-  EXPECT_TRUE(same_samples(resumed, reference));
 }
 
 // --- Checkpoint durability ---------------------------------------------------

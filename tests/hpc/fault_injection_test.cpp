@@ -44,7 +44,7 @@ TEST(FaultInjection, RejectsMalformedConfig) {
   bad.transient_rate = 1.5;
   EXPECT_THROW(FaultInjectingProvider(pmu, bad), InvalidArgument);
   FaultConfig negative;
-  negative.outlier_factor = -1.0;
+  negative.event_drop_rate = -0.1;
   EXPECT_THROW(FaultInjectingProvider(pmu, negative), InvalidArgument);
 }
 
@@ -112,17 +112,6 @@ TEST(FaultInjection, DropsEventsFromSamples) {
   }
   EXPECT_GT(missing_total, 0u);
   EXPECT_EQ(provider.stats().events_dropped, missing_total);
-}
-
-TEST(FaultInjection, OutliersInflatePresentValues) {
-  SimulatedPmu pmu = quiet_pmu();
-  FaultConfig cfg;
-  cfg.outlier_rate = 1.0;  // every sample polluted
-  cfg.outlier_factor = 9.0;
-  FaultInjectingProvider provider(pmu, cfg);
-  const CounterSample s = one_measurement(provider, pmu);
-  EXPECT_EQ(s[HpcEvent::kInstructions], 1000u);  // 100 * (1 + 9)
-  EXPECT_EQ(provider.stats().outliers_injected, 1u);
 }
 
 TEST(FaultInjection, PermanentEventFailureTripsAfterThreshold) {

@@ -28,10 +28,11 @@ TEST(CancelToken, CancelLatchesReasonAndMessage) {
 
 TEST(CancelToken, FirstReasonWins) {
   CancelToken token;
-  token.cancel_with(CancelReason::kStalled, "stall");
+  token.set_deadline_after(std::chrono::milliseconds(0));
+  ASSERT_EQ(token.reason(), CancelReason::kDeadline);  // latches the trip
   token.cancel("late explicit cancel");
-  EXPECT_EQ(token.reason(), CancelReason::kStalled);
-  EXPECT_EQ(token.message(), "stall");
+  EXPECT_EQ(token.reason(), CancelReason::kDeadline);
+  EXPECT_EQ(token.message(), "deadline exceeded");
 }
 
 TEST(CancelToken, CopiesShareState) {
@@ -62,16 +63,16 @@ TEST(CancelToken, CancellingChildDoesNotAffectParent) {
 TEST(CancelToken, GrandchildSeesGrandparent) {
   CancelToken root;
   CancelToken grandchild = root.child().child();
-  root.cancel_with(CancelReason::kDeadline, "out of budget");
+  root.set_deadline_after(std::chrono::milliseconds(0));
   EXPECT_EQ(grandchild.reason(), CancelReason::kDeadline);
 }
 
 TEST(CancelToken, OwnReasonShadowsParentReason) {
   CancelToken parent;
   CancelToken child = parent.child();
-  child.cancel_with(CancelReason::kStalled, "child stalled");
+  child.set_deadline_after(std::chrono::milliseconds(0));
   parent.cancel("parent cancelled");
-  EXPECT_EQ(child.reason(), CancelReason::kStalled);
+  EXPECT_EQ(child.reason(), CancelReason::kDeadline);
   EXPECT_EQ(parent.reason(), CancelReason::kCancelled);
 }
 
@@ -115,10 +116,6 @@ TEST(CancelToken, CheckThrowsMatchingTaxonomyError) {
   CancelToken deadline;
   deadline.set_deadline_after(std::chrono::milliseconds(0));
   EXPECT_THROW(deadline.check(), DeadlineExceeded);
-
-  CancelToken stalled;
-  stalled.cancel_with(CancelReason::kStalled, "lane 3 quiet");
-  EXPECT_THROW(stalled.check(), ShardStalled);
 }
 
 TEST(CancelToken, CheckMessageNamesTheCause) {

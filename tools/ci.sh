@@ -13,7 +13,7 @@
 # trees (build-ci-sanitize, build-ci-tsan) so instrumented and plain
 # objects never mix.  The TSan pass covers the code that runs on more
 # than one thread: the thread pool, the sharded campaign executor (which
-# also runs the fixed-vs-random screen), supervision (watchdog, cancel,
+# also runs the fixed-vs-random screen), supervision (cancel, deadline,
 # failover), the sweep's replay fan-out, and the evaluation service (its
 # executors, the socket front end's per-connection threads and the
 # protocol's long polls).
@@ -185,7 +185,7 @@ else
      cc -fsanitize=thread -x c - -o /dev/null 2>/dev/null; then
     echo "==> running concurrency tests under thread sanitizer"
     "$SRC_DIR/tools/run_sanitized_tests.sh" "thread" "${BUILD_DIR}-tsan" \
-      'ThreadPool|CampaignParallel|FixedVsRandom|FvrSupervision|Sweep|Supervision|EvaluationServer|Socket|Protocol|Watchdog'
+      'ThreadPool|CampaignParallel|FixedVsRandom|FvrSupervision|Sweep|Supervision|EvaluationServer|Socket|Protocol'
   else
     echo "==> toolchain lacks libtsan: skipping TSan stage"
   fi
