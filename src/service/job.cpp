@@ -100,8 +100,11 @@ void JobConfig::validate() const {
         "job", "dataset.kind",
         "must be mnist-like, cifar-like or sequence-like (got '" +
             dataset.kind + "')");
-  if (dataset.examples_per_class == 0)
-    throw ValidationError("job", "dataset.examples_per_class", "must be > 0");
+  if (dataset.examples_per_class == 0 ||
+      dataset.examples_per_class > kMaxExamplesPerClass)
+    throw ValidationError("job", "dataset.examples_per_class",
+                          "must be in [1, " +
+                              std::to_string(kMaxExamplesPerClass) + "]");
   if (dataset.num_classes == 0)
     throw ValidationError("job", "dataset.num_classes", "must be > 0");
   const std::size_t max_classes =
@@ -131,6 +134,12 @@ void JobConfig::validate() const {
     throw ValidationError("job", "alpha", "must be in (0, 1)");
   if (deadline < std::chrono::milliseconds::zero())
     throw ValidationError("job", "deadline", "must be >= 0");
+  if (num_shards > kMaxJobShards)
+    throw ValidationError("job", "num_shards",
+                          "must be <= " + std::to_string(kMaxJobShards));
+  if (num_threads > kMaxJobThreads)
+    throw ValidationError("job", "num_threads",
+                          "must be <= " + std::to_string(kMaxJobThreads));
   // The campaign-level invariants (categories non-empty, sample budget,
   // shard count, ...) are enforced by the same validator the campaign
   // itself runs, so admission and execution can never disagree.

@@ -61,6 +61,14 @@ struct DatasetSpec {
   std::size_t crop = 0;
 };
 
+/// Admission caps on what one job may make the server allocate: rigs and
+/// plans (one per shard, built before the first measurement), campaign
+/// worker threads, and synthesised examples per class (generated inside
+/// submit()).  Every shipped caller uses 1 shard, 1 thread and 8 examples.
+inline constexpr std::size_t kMaxJobShards = 64;
+inline constexpr std::size_t kMaxJobThreads = 64;
+inline constexpr std::size_t kMaxExamplesPerClass = 1000;
+
 /// Everything a tenant controls about one evaluation job.
 struct JobConfig {
   DatasetSpec dataset;

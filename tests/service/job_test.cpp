@@ -45,6 +45,21 @@ TEST(JobConfig, ComposesCampaignLevelValidation) {
   }
 }
 
+TEST(JobConfig, AdmissionCapsAreInclusive) {
+  JobConfig config = tiny_job_config();
+  config.num_shards = kMaxJobShards;
+  config.num_threads = kMaxJobThreads;
+  config.dataset.examples_per_class = kMaxExamplesPerClass;
+  EXPECT_NO_THROW(config.validate());
+  for (auto over : {+[](JobConfig& c) { ++c.num_shards; },
+                    +[](JobConfig& c) { ++c.num_threads; },
+                    +[](JobConfig& c) { ++c.dataset.examples_per_class; }}) {
+    JobConfig bad = config;
+    over(bad);
+    EXPECT_THROW(bad.validate(), ValidationError);
+  }
+}
+
 TEST(JobConfig, RejectsOutOfRangeCategory) {
   JobConfig config = tiny_job_config();
   config.categories = {0, 7};  // only 4 classes

@@ -2,7 +2,9 @@
 
 #include <filesystem>
 #include <memory>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hpc/instrument_factory.hpp"
@@ -124,6 +126,32 @@ TEST(EvaluationServer, ValidationRejectionCarriesStructuredCause) {
   EXPECT_EQ(server.stats().rejected, 1u);
   // wait() on an already-terminal job returns immediately.
   EXPECT_EQ(server.wait(id).state, JobState::kRejected);
+}
+
+TEST(EvaluationServer, OversizedJobIsRejectedBeforeAnythingIsBuilt) {
+  // A tenant must not be able to make the server mint thousands of rigs
+  // or threads, or synthesise a huge dataset inside submit().  A negative
+  // JSON value wraps to 2^64-1 on the size_t cast and is caught the same
+  // way.  Only admission is exercised: none of these jobs may run.
+  EvaluationServer server(test_server_config("oversized"));
+  const std::pair<std::string, std::string> cases[] = {
+      {"num_shards", R"({"num_shards": 100000})"},
+      {"num_shards", R"({"num_shards": -1})"},
+      {"num_threads", R"({"num_threads": 100000})"},
+      {"dataset.examples_per_class",
+       R"({"dataset": {"examples_per_class": 100000}})"},
+  };
+  for (const auto& [field, json] : cases) {
+    const std::uint64_t id =
+        server.submit(core::testing::tiny_model(), job_config_from_json(json));
+    const JobStatus status = server.status(id);
+    EXPECT_EQ(status.state, JobState::kRejected) << json;
+    EXPECT_EQ(status.reject_domain, "job") << json;
+    EXPECT_EQ(status.reject_field, field) << json;
+    EXPECT_EQ(status.measurements_executed, 0u) << json;
+  }
+  EXPECT_EQ(server.stats().rejected, std::size(cases));
+  EXPECT_EQ(server.stats().measurements_executed, 0u);
 }
 
 TEST(EvaluationServer, LintGateRejectsLeakyModelWhenConfigured) {
