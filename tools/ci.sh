@@ -133,6 +133,14 @@ SVC_ARGS="--socket $SVC_SOCK --arch mnist-cnn --categories 0,1 \
   --samples 4 --examples-per-class 4 --wait --bench-json BENCH_service.json"
 "$SVC_CLIENT" submit $SVC_ARGS --bench-label cold --expect-executed
 "$SVC_CLIENT" submit $SVC_ARGS --bench-label warm --expect-cached
+# A malformed category list is refused (exit 2) before anything is sent.
+bad_rc=0
+"$SVC_CLIENT" submit --socket "$SVC_SOCK" --arch mnist-cnn \
+  --categories 1,2x > /dev/null 2>&1 || bad_rc=$?
+if [ "$bad_rc" != 2 ]; then
+  echo "==> client accepted --categories 1,2x (exit $bad_rc)" >&2
+  exit 1
+fi
 "$SVC_CLIENT" shutdown --socket "$SVC_SOCK"
 wait "$SVC_PID"
 echo "==> evaluation service smoke OK (warm submit served from cache)"

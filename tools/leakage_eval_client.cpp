@@ -16,6 +16,7 @@
 // --expect-cached / --expect-executed turn that into an exit-code
 // assertion (exit 3 on violation), and --bench-json records a labelled
 // {wall_ms, measurements_executed, from_cache} entry for CI trending.
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -37,11 +38,21 @@ namespace {
 
 using sce::service::JobStatus;
 
+/// Every comma-separated item must be a whole integer: "2x" is refused,
+/// not read as 2.
 std::vector<int> parse_categories(const std::string& csv) {
   std::vector<int> out;
   std::stringstream in(csv);
   std::string item;
-  while (std::getline(in, item, ',')) out.push_back(std::stoi(item));
+  while (std::getline(in, item, ',')) {
+    int label = 0;
+    const char* end = item.data() + item.size();
+    const auto [ptr, ec] = std::from_chars(item.data(), end, label);
+    if (ec != std::errc() || ptr != end)
+      throw sce::InvalidArgument("option --categories: '" + item +
+                                 "' is not an integer");
+    out.push_back(label);
+  }
   return out;
 }
 
@@ -249,6 +260,10 @@ int run(int argc, char** argv) {
     return 2;
   }
   const std::string verb = cli.positional()[0];
+  // Submit options are parsed before connecting: a malformed value exits
+  // 2 without reaching the server.
+  sce::service::JobConfig config;
+  if (verb == "submit") config = config_from_cli(cli);
 
   sce::service::UnixSocket socket =
       sce::service::UnixSocket::connect_to(cli.get("socket"));
@@ -263,7 +278,6 @@ int run(int argc, char** argv) {
           static_cast<std::uint64_t>(cli.get_int("init-seed")));
       model.initialize(rng);
     }
-    const sce::service::JobConfig config = config_from_cli(cli);
 
     const auto started = std::chrono::steady_clock::now();
     const sce::util::JsonValue doc = parse_response(request_reply(
