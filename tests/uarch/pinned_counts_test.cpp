@@ -151,15 +151,18 @@ enum class Prefetch { kNone, kNextLine, kStride };
 struct HierarchyCell {
   ReplacementPolicy policy;
   Prefetch prefetch;
+  std::size_t protected_ways;
+  std::uint64_t seed;
   const char* digest;
 };
 
-HierarchyConfig cell_config(ReplacementPolicy policy, Prefetch prefetch) {
+HierarchyConfig cell_config(ReplacementPolicy policy, Prefetch prefetch,
+                            std::size_t protected_ways) {
   HierarchyConfig cfg;
   cfg.l1d.policy = policy;
   cfg.l2.policy = policy;
   cfg.llc.policy = policy;
-  cfg.l2.protected_ways = 2;
+  cfg.l2.protected_ways = protected_ways;
   cfg.enable_next_line_prefetch = prefetch == Prefetch::kNextLine;
   cfg.enable_stride_prefetch = prefetch == Prefetch::kStride;
   return cfg;
@@ -168,26 +171,35 @@ HierarchyConfig cell_config(ReplacementPolicy policy, Prefetch prefetch) {
 TEST(PinnedCounts, HierarchyPolicyPrefetchMatrix) {
   using P = ReplacementPolicy;
   const HierarchyCell cells[] = {
-      {P::kLru, Prefetch::kNone, "4738ef0b26dec20da1cd7d23871b6cc7"},
-      {P::kLru, Prefetch::kNextLine, "274631a9c0c978626fa262bfdf7b03e4"},
-      {P::kLru, Prefetch::kStride, "6af3b903dc2c8accf59053677387a0ee"},
-      {P::kTreePlru, Prefetch::kNone, "e941da79afd379e6ded9d68311e36a58"},
-      {P::kTreePlru, Prefetch::kNextLine, "fb68b95969e3cdc79a8351c97d7ac7e5"},
-      {P::kTreePlru, Prefetch::kStride, "e932b6678f9a7986a13948b3e3a33ce0"},
-      {P::kFifo, Prefetch::kNone, "67efb25f4edc4beb796310383c522211"},
-      {P::kFifo, Prefetch::kNextLine, "3171f7802b2ca3eef807566059418988"},
-      {P::kFifo, Prefetch::kStride, "b8e519bde0e6835332b3b48ee3282449"},
-      {P::kRandom, Prefetch::kNone, "7a558de27612114b5ea904e0e74703dd"},
-      {P::kRandom, Prefetch::kNextLine, "3f00d281ca266b9396066d250ea78da5"},
-      {P::kRandom, Prefetch::kStride, "57d01ec61294fc9126016536f85c3207"},
+      {P::kLru, Prefetch::kNone, 2, 1, "4738ef0b26dec20da1cd7d23871b6cc7"},
+      {P::kLru, Prefetch::kNextLine, 2, 2, "274631a9c0c978626fa262bfdf7b03e4"},
+      {P::kLru, Prefetch::kStride, 2, 3, "6af3b903dc2c8accf59053677387a0ee"},
+      {P::kTreePlru, Prefetch::kNone, 2, 4, "e941da79afd379e6ded9d68311e36a58"},
+      {P::kTreePlru, Prefetch::kNextLine, 2, 5, "fb68b95969e3cdc79a8351c97d7ac7e5"},
+      {P::kTreePlru, Prefetch::kStride, 2, 6, "e932b6678f9a7986a13948b3e3a33ce0"},
+      {P::kFifo, Prefetch::kNone, 2, 7, "67efb25f4edc4beb796310383c522211"},
+      {P::kFifo, Prefetch::kNextLine, 2, 8, "3171f7802b2ca3eef807566059418988"},
+      {P::kFifo, Prefetch::kStride, 2, 9, "b8e519bde0e6835332b3b48ee3282449"},
+      {P::kRandom, Prefetch::kNone, 2, 10, "7a558de27612114b5ea904e0e74703dd"},
+      {P::kRandom, Prefetch::kNextLine, 2, 11, "3f00d281ca266b9396066d250ea78da5"},
+      {P::kRandom, Prefetch::kStride, 2, 12, "57d01ec61294fc9126016536f85c3207"},
+      {P::kLru, Prefetch::kNone, 0, 1, "d43096d79d690aeb88d27aaad1b12a75"},
+      {P::kLru, Prefetch::kNextLine, 0, 2, "9ba8dfba69d6a5cf1ee026e819ca2109"},
+      {P::kTreePlru, Prefetch::kNone, 0, 4, "f8f38974186b8904b46f57db7c2a0b06"},
+      {P::kTreePlru, Prefetch::kNextLine, 0, 5, "59599413839db643559cb2b6125bf471"},
+      {P::kFifo, Prefetch::kNone, 0, 7, "003163e7c0a0558de3851676263c88bf"},
+      {P::kFifo, Prefetch::kNextLine, 0, 8, "62ff793429cedd82a8504c5d5f93ba2c"},
+      {P::kRandom, Prefetch::kNone, 0, 10, "f77b14fefbdcad5cc60fcdbc26f09b82"},
+      {P::kRandom, Prefetch::kNextLine, 0, 11, "5b62e89cc05b30990e623c3f88f28463"},
   };
-  std::uint64_t seed = 1;
   for (const HierarchyCell& cell : cells) {
-    MemoryHierarchy h(cell_config(cell.policy, cell.prefetch), 11 + seed);
-    EXPECT_EQ(hierarchy_digest(h, seed), cell.digest)
-        << to_string(cell.policy) << " prefetch="
-        << static_cast<int>(cell.prefetch);
-    ++seed;
+    MemoryHierarchy h(
+        cell_config(cell.policy, cell.prefetch, cell.protected_ways),
+        11 + cell.seed);
+    EXPECT_EQ(hierarchy_digest(h, cell.seed), cell.digest)
+        << to_string(cell.policy)
+        << " prefetch=" << static_cast<int>(cell.prefetch)
+        << " protected_ways=" << cell.protected_ways;
   }
 }
 
@@ -207,6 +219,13 @@ TEST(PinnedCounts, HierarchyUnusualGeometries) {
   EXPECT_EQ(hierarchy_digest(odd_h, 21),
             "fcf0a67f2b00b6fea64ebc5612e82454")
       << "odd geometry";
+
+  // The same geometry with the next-line prefetcher alone.
+  odd.enable_stride_prefetch = false;
+  MemoryHierarchy odd_next_line_h(odd, 5);
+  EXPECT_EQ(hierarchy_digest(odd_next_line_h, 23),
+            "da929ac2c43bec15c3b6a0d231304f1f")
+      << "odd geometry, next-line";
 
   // L1 alone: no lower level, no TLB; last-level counts come from L1.
   HierarchyConfig l1_only;
@@ -384,6 +403,22 @@ TEST(PinnedCounts, SimulatedPmuMeasurements) {
   EXPECT_EQ(pmu_digest(raw, 44),
             "4470fce5bd04cab617171853e1caa9a0")
       << "warm, raw addresses";
+
+  // The pollution and predictor settings of the two cells above, on the
+  // default hierarchy with normalised addresses.
+  hpc::SimulatedPmuConfig polluted;
+  polluted.pollution_period = 1000;
+  polluted.predictor = PredictorKind::kTwoLevelLocal;
+  EXPECT_EQ(pmu_digest(polluted, 43),
+            "e21a5b137e65a16a9a3fa2ba84e69b88")
+      << "cold, polluted, two-level local";
+
+  hpc::SimulatedPmuConfig warm_bimodal;
+  warm_bimodal.cold_start_per_measurement = false;
+  warm_bimodal.predictor = PredictorKind::kBimodal;
+  EXPECT_EQ(pmu_digest(warm_bimodal, 44),
+            "6f4392e452cc9f9fb6b72576019ccef9")
+      << "warm, bimodal";
 }
 
 }  // namespace
