@@ -41,12 +41,6 @@ void SweepConfig::validate() const {
     if (!labels.insert(p.label).second)
       throw ValidationError("sweep", "grid",
                             "contains duplicate label '" + p.label + "'");
-    if (!p.pmu.normalize_addresses)
-      throw ValidationError(
-          "sweep", "grid",
-          "point '" + p.label +
-              "' disables normalize_addresses; replayed traces only "
-              "reproduce the live counts under address normalization");
   }
 }
 
@@ -66,8 +60,8 @@ double seconds_since(Clock::time_point t0) {
 
 bool uses_random_replacement(const uarch::HierarchyConfig& h) {
   return h.l1d.policy == uarch::ReplacementPolicy::kRandom ||
-         (h.enable_l2 && h.l2.policy == uarch::ReplacementPolicy::kRandom) ||
-         (h.enable_llc && h.llc.policy == uarch::ReplacementPolicy::kRandom);
+         h.l2.policy == uarch::ReplacementPolicy::kRandom ||
+         h.llc.policy == uarch::ReplacementPolicy::kRandom;
 }
 
 /// Memory-side component counts of one replayed measurement.

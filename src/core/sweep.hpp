@@ -9,10 +9,10 @@
 // serial campaign run at that configuration (tests/core/sweep_test.cpp).
 //
 // The replay work is deduplicated by *component class*, exploiting the
-// simulated PMU's structure: loads/stores drive only the cache
-// hierarchy (+ TLB/prefetcher/pollution), conditional branches drive
-// only the predictor, and the remaining counts are tallies off the
-// trace summary.  Grid points sharing a memory configuration share one
+// simulated PMU's structure: loads/stores drive only the TLB and cache
+// hierarchy (with next-line prefetch and pollution), conditional
+// branches drive only the predictor, and the remaining counts are
+// tallies off the trace summary.  Grid points sharing a memory configuration share one
 // memory replay per slot; points sharing a predictor share one branch
 // replay; the full eight-event sample is assembled per point via
 // hpc::assemble_workload_counts and the keyed environment overlay.
@@ -86,10 +86,7 @@ struct SweepConfig {
   std::string checkpoint_path;
   std::size_t checkpoint_every_slots = 0;
 
-  /// Throws util-error InvalidArgument on the first violation.  Every
-  /// grid point must keep normalize_addresses on: replay reproduces the
-  /// live counts through the canonical/session-stable address spaces,
-  /// which only coincide with the live run under normalization.
+  /// Throws util-error InvalidArgument on the first violation.
   void validate() const;
 };
 

@@ -89,7 +89,6 @@ uarch::MachineConfig machine_config(const SimulatedPmuConfig& c) {
   m.hierarchy = c.hierarchy;
   m.predictor = c.predictor;
   m.cold_start_per_measurement = c.cold_start_per_measurement;
-  m.normalize_addresses = c.normalize_addresses;
   m.pollution_period = c.pollution_period;
   m.pollution_seed = c.noise_seed ^ kPollutionStream;
   return m;
@@ -127,10 +126,9 @@ void SimulatedPmu::consume(const uarch::TraceBuffer& trace,
     throw InvalidArgument(
         "SimulatedPmu::consume: start() the measurement first");
   // The canonical fast path is valid only when this trace is the first
-  // memory activity of a cold, normalized measurement: its first-touch
-  // ordinals then coincide with what normalize() would assign.
-  const bool canonical = config_.cold_start_per_measurement &&
-                         config_.normalize_addresses && untouched();
+  // memory activity of a cold measurement: its first-touch ordinals then
+  // coincide with what normalize() would assign.
+  const bool canonical = config_.cold_start_per_measurement && untouched();
   if (canonical)
     replay_canonical(trace, cls);
   else

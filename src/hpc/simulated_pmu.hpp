@@ -52,17 +52,15 @@ struct SimulatedPmuConfig {
   /// classification running against a cold microarchitectural state (a
   /// fresh `perf stat` invocation around one classification, with the
   /// intervening work of other tenants evicting the model's footprint).
+  ///
+  /// Traced addresses always pass through a canonical first-touch page
+  /// mapping: each distinct 4 KiB page is assigned a frame in first-touch
+  /// order, mimicking an OS physical allocator handing a fresh process
+  /// consecutive frames (caches below L1 are physically indexed on real
+  /// parts).  This makes the simulated counters independent of ASLR and
+  /// of which pages the heap hands out.  The mapping resets whenever the
+  /// caches are cold-started.
   bool cold_start_per_measurement = true;
-
-  /// Canonical first-touch page mapping: each distinct 4 KiB page of the
-  /// traced addresses is assigned a frame in first-touch order, mimicking
-  /// an OS physical allocator handing a fresh process consecutive frames
-  /// (caches below L1 are physically indexed on real parts).  This makes
-  /// the simulated counters a pure function of the access *sequence* —
-  /// independent of ASLR and of heap-layout drift across measurements —
-  /// which is what keeps experiments reproducible.  The mapping resets
-  /// whenever the caches are cold-started.
-  bool normalize_addresses = true;
 
   /// If nonzero, evict one random line from every level each time this
   /// many line accesses complete (models co-tenant cache interference).
@@ -91,7 +89,6 @@ inline bool operator==(const SimulatedPmuConfig& a,
   return a.hierarchy == b.hierarchy && a.predictor == b.predictor &&
          a.core == b.core &&
          a.cold_start_per_measurement == b.cold_start_per_measurement &&
-         a.normalize_addresses == b.normalize_addresses &&
          a.pollution_period == b.pollution_period &&
          a.environment == b.environment && a.noise_seed == b.noise_seed;
 }
@@ -158,11 +155,11 @@ class SimulatedPmu final : public CounterProvider,
 
   /// Feed a recorded trace (or one component class of it) into the
   /// running measurement, as if the kernels had streamed it live.  When
-  /// this measurement is cold-started with address normalization on — the
-  /// reproducibility default — the buffer's canonical addresses are
-  /// exactly what normalize() would produce, so the per-access page hash
-  /// is skipped; otherwise the trace replays in its session-stable
-  /// address space through the ordinary normalization path.  Either way
+  /// this measurement is cold-started — the reproducibility default — the
+  /// buffer's canonical addresses are exactly what normalize() would
+  /// produce, so the per-access page hash is skipped; otherwise the trace
+  /// replays in its session-stable address space through the ordinary
+  /// normalization path.  Either way
   /// the resulting counts are bit-identical to the live run that was
   /// recorded (tests/hpc/replay_test.cpp).  One trace per measurement,
   /// mirroring the campaign's one-classification-per-measurement shape.

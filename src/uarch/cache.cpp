@@ -159,15 +159,10 @@ void CacheLevel::flush() {
 }
 
 void CacheLevel::evict_random_line(util::Rng& rng) {
-  // Pick a random set/way outside the protected partition; if it holds a
-  // line, drop it (models a co-tenant displacing a line).
-  if (config_.protected_ways >= assoc_) return;
-  const std::size_t sets = set_mask_ + 1;
-  const std::size_t unprotected = assoc_ - config_.protected_ways;
-  const std::size_t set = static_cast<std::size_t>(rng.below(sets));
-  const std::size_t way =
-      config_.protected_ways +
-      static_cast<std::size_t>(rng.below(unprotected));
+  // Pick a random set, then a random way; if it holds a line, drop it
+  // (models a co-tenant displacing a line).
+  const std::size_t set = static_cast<std::size_t>(rng.below(set_mask_ + 1));
+  const std::size_t way = static_cast<std::size_t>(rng.below(assoc_));
   std::uintptr_t& tag = tags_[set * assoc_ + way];
   if (tag != kNoLine) {
     tag = kNoLine;

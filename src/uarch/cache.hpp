@@ -24,11 +24,6 @@ struct CacheConfig {
   std::size_t associativity = 8;
   std::size_t line_bytes = 64;
   ReplacementPolicy policy = ReplacementPolicy::kLru;
-  /// Way-partitioning (Intel CAT style): the first `protected_ways` ways
-  /// of every set are reserved for the measured process — co-tenant
-  /// evictions (evict_random_line) cannot touch them.  0 disables
-  /// partitioning.  The process's own replacement is unaffected.
-  std::size_t protected_ways = 0;
 
   std::size_t num_sets() const {
     return size_bytes / (associativity * line_bytes);
@@ -40,7 +35,7 @@ struct CacheConfig {
 inline bool operator==(const CacheConfig& a, const CacheConfig& b) {
   return a.name == b.name && a.size_bytes == b.size_bytes &&
          a.associativity == b.associativity && a.line_bytes == b.line_bytes &&
-         a.policy == b.policy && a.protected_ways == b.protected_ways;
+         a.policy == b.policy;
 }
 inline bool operator!=(const CacheConfig& a, const CacheConfig& b) {
   return !(a == b);

@@ -1,18 +1,16 @@
-// Multi-level data-cache hierarchy with optional next-line prefetcher.
+// Data-TLB and three-level data-cache hierarchy with an optional
+// next-line prefetcher.
 //
 // Mirrors the structure behind the perf events the paper monitors:
 //   cache-references  = accesses that reach the last-level cache
 //   cache-misses      = last-level cache misses
 // Each byte-ranged access is decomposed into line-granular accesses that
-// walk L1D -> L2 -> LLC.
+// look up the TLB and walk L1D -> L2 -> LLC.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "uarch/cache.hpp"
-#include "uarch/prefetcher.hpp"
 #include "uarch/tlb.hpp"
 #include "util/error.hpp"
 
@@ -22,15 +20,9 @@ struct HierarchyConfig {
   CacheConfig l1d{"L1D", 32 * 1024, 8, 64, ReplacementPolicy::kTreePlru};
   CacheConfig l2{"L2", 256 * 1024, 8, 64, ReplacementPolicy::kLru};
   CacheConfig llc{"LLC", 2 * 1024 * 1024, 16, 64, ReplacementPolicy::kLru};
-  bool enable_l2 = true;
-  bool enable_llc = true;
   /// Next-line prefetch into L2 on an L1 miss.
   bool enable_next_line_prefetch = false;
-  /// Stride/stream prefetcher (L2 streamer) trained by L1 misses.
-  bool enable_stride_prefetch = false;
-  PrefetcherConfig stride_prefetcher{};
   TlbConfig tlb{};
-  bool enable_tlb = true;
   /// Miss latencies in cycles, used by the core event model.
   std::uint32_t l1_hit_cycles = 4;
   std::uint32_t l2_hit_cycles = 12;
@@ -44,11 +36,8 @@ struct HierarchyConfig {
 /// deduplication criterion).
 inline bool operator==(const HierarchyConfig& a, const HierarchyConfig& b) {
   return a.l1d == b.l1d && a.l2 == b.l2 && a.llc == b.llc &&
-         a.enable_l2 == b.enable_l2 && a.enable_llc == b.enable_llc &&
          a.enable_next_line_prefetch == b.enable_next_line_prefetch &&
-         a.enable_stride_prefetch == b.enable_stride_prefetch &&
-         a.stride_prefetcher == b.stride_prefetcher && a.tlb == b.tlb &&
-         a.enable_tlb == b.enable_tlb && a.l1_hit_cycles == b.l1_hit_cycles &&
+         a.tlb == b.tlb && a.l1_hit_cycles == b.l1_hit_cycles &&
          a.l2_hit_cycles == b.l2_hit_cycles &&
          a.llc_hit_cycles == b.llc_hit_cycles &&
          a.memory_cycles == b.memory_cycles &&
@@ -84,8 +73,7 @@ class MemoryHierarchy {
     for (std::uintptr_t l = first; l <= last; ++l) {
       const std::uintptr_t line_addr = l << line_shift_;
       ++total.lines_touched;
-      if (config_.enable_tlb && !tlb_.access(line_addr))
-        total.cycles += config_.tlb_miss_cycles;
+      if (!tlb_.access(line_addr)) total.cycles += config_.tlb_miss_cycles;
       total.cycles += l1d_.access(line_addr, is_write)
                           ? config_.l1_hit_cycles
                           : miss_below_l1(line_addr, is_write);
@@ -94,22 +82,19 @@ class MemoryHierarchy {
   }
 
   const CacheStats& l1d_stats() const { return l1d_.stats(); }
-  const CacheStats& l2_stats() const;
-  const CacheStats& llc_stats() const;
+  const CacheStats& l2_stats() const { return l2_.stats(); }
+  const CacheStats& llc_stats() const { return llc_.stats(); }
   const TlbStats& tlb_stats() const { return tlb_.stats(); }
-  const PrefetcherStats& prefetcher_stats() const {
-    return stride_prefetcher_.stats();
-  }
 
   CacheLevel& l1d() { return l1d_; }
   Tlb& tlb() { return tlb_; }
-  CacheLevel* l2() { return l2_.get(); }
-  CacheLevel* llc() { return llc_.get(); }
 
-  /// References that reached the last enabled level (perf cache-references).
-  std::uint64_t last_level_references() const;
-  /// Misses at the last enabled level (perf cache-misses).
-  std::uint64_t last_level_misses() const;
+  /// References that reached the LLC (perf cache-references).
+  std::uint64_t last_level_references() const {
+    return llc_.stats().accesses;
+  }
+  /// LLC misses (perf cache-misses).
+  std::uint64_t last_level_misses() const { return llc_.stats().misses; }
 
   /// Changes whenever a line enters or leaves L1D or a page enters or
   /// leaves the TLB: while it is unchanged, a line stays at the L1D way
@@ -127,21 +112,16 @@ class MemoryHierarchy {
   void reset_stats();
 
  private:
-  /// Latency of a line that missed L1D: run the prefetchers, then look it
-  /// up in L2, the LLC and memory.
+  /// Latency of a line that missed L1D: run the next-line prefetcher,
+  /// then look the line up in L2, the LLC and memory.
   std::uint64_t miss_below_l1(std::uintptr_t line_addr, bool is_write);
 
   HierarchyConfig config_;
   unsigned line_shift_ = 0;  // log2(l1d.line_bytes)
   CacheLevel l1d_;
-  std::unique_ptr<CacheLevel> l2_;
-  std::unique_ptr<CacheLevel> llc_;
+  CacheLevel l2_;
+  CacheLevel llc_;
   Tlb tlb_;
-  StridePrefetcher stride_prefetcher_;
-  /// The stride prefetcher's targets for the current miss; reused so a
-  /// miss never allocates.
-  std::vector<std::uintptr_t> prefetch_targets_;
-  CacheStats empty_stats_{};
 };
 
 }  // namespace sce::uarch

@@ -72,10 +72,10 @@ void SimulatedMachine::begin_measurement() {
 
 void SimulatedMachine::end_measurement() {
   running_ = false;
-  // Each filter hit is a TLB hit (when the TLB is modelled) and an L1D
-  // hit at L1 latency, exactly what MemoryHierarchy::access counts.
+  // Each filter hit is a TLB hit and an L1D hit at L1 latency, exactly
+  // what MemoryHierarchy::access counts.
   hierarchy_.l1d().add_hits(filter_hits_);
-  if (config_.hierarchy.enable_tlb) hierarchy_.tlb().add_hits(filter_hits_);
+  hierarchy_.tlb().add_hits(filter_hits_);
   memory_cycles_ += filter_hits_ * config_.hierarchy.l1_hit_cycles;
   filter_hits_ = 0;
 }
@@ -109,12 +109,10 @@ void SimulatedMachine::full_access(const void* addr, std::size_t bytes,
     const CacheLevel& l1d = hierarchy_.l1d();
     recent->l1d_set = static_cast<std::uint32_t>(l1d.set_of(line_addr));
     recent->l1d_way = static_cast<std::uint8_t>(l1d.mru_way(recent->l1d_set));
-    if (config_.hierarchy.enable_tlb) {
-      const Tlb& tlb = hierarchy_.tlb();
-      recent->tlb_set = static_cast<std::uint32_t>(tlb.set_of(line_addr));
-      recent->tlb_entry =
-          static_cast<std::uint8_t>(tlb.mru_entry(recent->tlb_set));
-    }
+    const Tlb& tlb = hierarchy_.tlb();
+    recent->tlb_set = static_cast<std::uint32_t>(tlb.set_of(line_addr));
+    recent->tlb_entry =
+        static_cast<std::uint8_t>(tlb.mru_entry(recent->tlb_set));
   }
   memory_cycles_ += result.cycles;
   if (config_.pollution_period != 0) pollute(result.lines_touched);

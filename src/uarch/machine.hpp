@@ -80,7 +80,6 @@ struct MachineConfig {
   HierarchyConfig hierarchy{};
   PredictorKind predictor = PredictorKind::kGShare;
   bool cold_start_per_measurement = true;
-  bool normalize_addresses = true;
   std::size_t pollution_period = 0;
   std::uint64_t pollution_seed = 0;
 };
@@ -166,7 +165,7 @@ class SimulatedMachine : public TraceSink {
   }
   /// Replay `trace` at its canonical addresses, which already are the
   /// normalized form, so normalize() passes them through.  Valid only
-  /// while untouched() in a cold, normalizing measurement.
+  /// while untouched() in a cold measurement.
   void replay_canonical(const TraceBuffer& trace, ReplayClass cls);
 
  private:
@@ -202,7 +201,7 @@ class SimulatedMachine : public TraceSink {
 
   std::uintptr_t normalize(const void* addr) {
     const auto raw = reinterpret_cast<std::uintptr_t>(addr);
-    if (trusted_canonical_ || !config_.normalize_addresses) return raw;
+    if (trusted_canonical_) return raw;
     // The canonical base a replayed trace's addresses start from, so a
     // replay that skips this step lands on the same normalized addresses.
     const std::uintptr_t frame = page_frames_.frame_of(raw >> kPageBits);
@@ -224,8 +223,7 @@ class SimulatedMachine : public TraceSink {
         bytes - 1 < line_bytes_ - (raw & (line_bytes_ - 1));
     if (recent.line == line && one_line &&
         recent.residency == hierarchy_.residency()) {
-      if (config_.hierarchy.enable_tlb)
-        hierarchy_.tlb().hit_untallied(recent.tlb_set, recent.tlb_entry);
+      hierarchy_.tlb().hit_untallied(recent.tlb_set, recent.tlb_entry);
       hierarchy_.l1d().hit_untallied(recent.l1d_set, recent.l1d_way,
                                      is_write);
       ++filter_hits_;  // counted at end_measurement()

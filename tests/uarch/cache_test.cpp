@@ -152,44 +152,6 @@ TEST(CacheLevel, EvictRandomLineRemovesSomething) {
   EXPECT_LT(resident, 8u);
 }
 
-TEST(CacheLevel, FullyProtectedPartitionBlocksExternalEviction) {
-  CacheConfig cfg = small_cache();
-  cfg.protected_ways = cfg.associativity;
-  CacheLevel cache(cfg);
-  for (std::uintptr_t s = 0; s < 4; ++s)
-    for (std::uintptr_t t = 1; t <= 2; ++t) cache.access(addr(s, t), false);
-  util::Rng rng(10);
-  for (int i = 0; i < 200; ++i) cache.evict_random_line(rng);
-  for (std::uintptr_t s = 0; s < 4; ++s)
-    for (std::uintptr_t t = 1; t <= 2; ++t)
-      EXPECT_TRUE(cache.contains(addr(s, t)));
-}
-
-TEST(CacheLevel, PartialPartitionOnlyExposesUnprotectedWays) {
-  CacheConfig cfg = small_cache();
-  cfg.protected_ways = 1;  // of 2 ways
-  CacheLevel cache(cfg);
-  // Fill both ways of set 0: tag 1 installs into way 0 (protected),
-  // tag 2 into way 1 (unprotected).
-  cache.access(addr(0, 1), false);
-  cache.access(addr(0, 2), false);
-  util::Rng rng(11);
-  for (int i = 0; i < 300; ++i) cache.evict_random_line(rng);
-  EXPECT_TRUE(cache.contains(addr(0, 1)));
-  EXPECT_FALSE(cache.contains(addr(0, 2)));
-}
-
-TEST(CacheLevel, OwnReplacementIgnoresPartition) {
-  CacheConfig cfg = small_cache();
-  cfg.protected_ways = cfg.associativity;
-  CacheLevel cache(cfg);
-  // The process's own capacity evictions still work normally.
-  cache.access(addr(0, 1), false);
-  cache.access(addr(0, 2), false);
-  cache.access(addr(0, 3), false);  // evicts LRU tag 1
-  EXPECT_FALSE(cache.contains(addr(0, 1)));
-}
-
 TEST(CacheLevel, MissRate) {
   CacheLevel cache(small_cache());
   cache.access(0x0, false);

@@ -12,7 +12,6 @@ HierarchyConfig tiny_hierarchy() {
   cfg.l1d = {"L1D", 512, 2, 64, ReplacementPolicy::kLru};
   cfg.l2 = {"L2", 2048, 4, 64, ReplacementPolicy::kLru};
   cfg.llc = {"LLC", 8192, 4, 64, ReplacementPolicy::kLru};
-  cfg.enable_tlb = false;
   return cfg;
 }
 
@@ -70,7 +69,8 @@ TEST(MemoryHierarchy, LatencyOrdering) {
   const AccessResult miss = h.access(0x2000, 4, false);
   const AccessResult l1_hit = h.access(0x2000, 4, false);
   EXPECT_EQ(l1_hit.cycles, cfg.l1_hit_cycles);
-  EXPECT_EQ(miss.cycles, cfg.memory_cycles);
+  // The first touch also misses the TLB.
+  EXPECT_EQ(miss.cycles, cfg.memory_cycles + cfg.tlb_miss_cycles);
   EXPECT_GT(miss.cycles, l1_hit.cycles);
 }
 
@@ -94,18 +94,17 @@ TEST(MemoryHierarchy, PolluteEvictsResidentLines) {
   EXPECT_GT(h.l1d_stats().misses, 0u);
 }
 
-TEST(MemoryHierarchy, DisabledLevelsSkipped) {
-  HierarchyConfig cfg = tiny_hierarchy();
-  cfg.enable_l2 = false;
-  cfg.enable_llc = false;
-  MemoryHierarchy h(cfg);
+TEST(MemoryHierarchy, LastLevelCountsComeFromTheLlc) {
+  MemoryHierarchy h(tiny_hierarchy());
+  // Five lines 512 bytes apart share one L1D set (2 ways) and one L2 set
+  // (4 ways) but fit in the LLC, so the first of them is evicted from L1D
+  // and L2 and its revisit is an LLC hit.
+  for (std::uintptr_t i = 0; i < 5; ++i) h.access(0x1000 + i * 512, 4, false);
   h.access(0x1000, 4, false);
-  h.access(0x1000, 4, false);
-  // Last level is now L1 itself.
-  EXPECT_EQ(h.last_level_references(), 2u);
-  EXPECT_EQ(h.last_level_misses(), 1u);
-  EXPECT_EQ(h.l2_stats().accesses, 0u);
-  EXPECT_EQ(h.llc_stats().accesses, 0u);
+  EXPECT_EQ(h.l2_stats().misses, 6u);
+  EXPECT_EQ(h.llc_stats().hits, 1u);
+  EXPECT_EQ(h.last_level_references(), 6u);
+  EXPECT_EQ(h.last_level_misses(), 5u);
 }
 
 TEST(MemoryHierarchy, NextLinePrefetchWarmsL2) {
@@ -120,8 +119,7 @@ TEST(MemoryHierarchy, NextLinePrefetchWarmsL2) {
 }
 
 TEST(MemoryHierarchy, TlbMissAddsLatency) {
-  HierarchyConfig with_tlb = tiny_hierarchy();
-  with_tlb.enable_tlb = true;
+  const HierarchyConfig with_tlb = tiny_hierarchy();
   MemoryHierarchy h(with_tlb);
   const AccessResult first = h.access(0x5000, 4, false);
   EXPECT_EQ(first.cycles, with_tlb.memory_cycles + with_tlb.tlb_miss_cycles);
