@@ -1,5 +1,8 @@
 #include "service/job.hpp"
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "data/synthetic.hpp"
@@ -19,6 +22,19 @@ nn::KernelMode parse_kernel_mode(const std::string& name) {
 
 bool is_image_kind(const std::string& kind) {
   return kind == "mnist-like" || kind == "cifar-like";
+}
+
+/// A count or category label: a JSON integer that is neither negative
+/// nor too large for `T`, which a plain cast would wrap or truncate.
+template <typename T>
+T count_field(const util::JsonValue& value, const std::string& field) {
+  const std::int64_t v = value.as_int();
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  if (v < 0 || static_cast<std::uint64_t>(v) > kMax)
+    throw ValidationError("job", field,
+                          "must be an integer in [0, " +
+                              std::to_string(kMax) + "]");
+  return static_cast<T>(v);
 }
 
 /// Config fields that affect the evaluation's result, in one fixed key
@@ -140,6 +156,14 @@ void JobConfig::validate() const {
   if (num_threads > kMaxJobThreads)
     throw ValidationError("job", "num_threads",
                           "must be <= " + std::to_string(kMaxJobThreads));
+  if (samples_per_category > kMaxSamplesPerCategory)
+    throw ValidationError(
+        "job", "samples_per_category",
+        "must be <= " + std::to_string(kMaxSamplesPerCategory));
+  if (warmup_measurements > kMaxWarmupMeasurements)
+    throw ValidationError(
+        "job", "warmup_measurements",
+        "must be <= " + std::to_string(kMaxWarmupMeasurements));
   // The campaign-level invariants (categories non-empty, sample budget,
   // shard count, ...) are enforced by the same validator the campaign
   // itself runs, so admission and execution can never disagree.
@@ -243,28 +267,29 @@ JobConfig job_config_from_value(const util::JsonValue& doc) {
           c.dataset.seed = static_cast<std::uint64_t>(dvalue.as_int());
         else if (dkey == "examples_per_class")
           c.dataset.examples_per_class =
-              static_cast<std::size_t>(dvalue.as_int());
+              count_field<std::size_t>(dvalue, "dataset.examples_per_class");
         else if (dkey == "num_classes")
-          c.dataset.num_classes = static_cast<std::size_t>(dvalue.as_int());
+          c.dataset.num_classes =
+              count_field<std::size_t>(dvalue, "dataset.num_classes");
         else if (dkey == "crop")
-          c.dataset.crop = static_cast<std::size_t>(dvalue.as_int());
+          c.dataset.crop = count_field<std::size_t>(dvalue, "dataset.crop");
         else
           throw InvalidArgument("job config: unknown dataset key '" + dkey +
                                 "'");
       }
     } else if (key == "categories") {
       for (const auto& item : value.items())
-        c.categories.push_back(static_cast<int>(item.as_int()));
+        c.categories.push_back(count_field<int>(item, "categories"));
     } else if (key == "samples_per_category") {
-      c.samples_per_category = static_cast<std::size_t>(value.as_int());
+      c.samples_per_category = count_field<std::size_t>(value, key);
     } else if (key == "kernel_mode") {
       c.kernel_mode = parse_kernel_mode(value.as_string());
     } else if (key == "num_shards") {
-      c.num_shards = static_cast<std::size_t>(value.as_int());
+      c.num_shards = count_field<std::size_t>(value, key);
     } else if (key == "num_threads") {
-      c.num_threads = static_cast<std::size_t>(value.as_int());
+      c.num_threads = count_field<std::size_t>(value, key);
     } else if (key == "warmup_measurements") {
-      c.warmup_measurements = static_cast<std::size_t>(value.as_int());
+      c.warmup_measurements = count_field<std::size_t>(value, key);
     } else if (key == "interleave_categories") {
       c.interleave_categories = value.as_bool();
     } else if (key == "alpha") {

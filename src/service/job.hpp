@@ -61,13 +61,17 @@ struct DatasetSpec {
   std::size_t crop = 0;
 };
 
-/// Admission caps on what one job may make the server allocate: rigs and
-/// plans (one per shard, built before the first measurement), campaign
-/// worker threads, and synthesised examples per class (generated inside
-/// submit()).  Every shipped caller uses 1 shard, 1 thread and 8 examples.
+/// Admission caps on what one job may make the server allocate or run:
+/// rigs and plans (one per shard, built before the first measurement),
+/// campaign worker threads, synthesised examples per class (generated
+/// inside submit()), and the measurements one executor spends on the
+/// job.  Every shipped caller uses 1 shard, 1 thread, 8 examples, at
+/// most 100 samples per category and 2 warm-up measurements.
 inline constexpr std::size_t kMaxJobShards = 64;
 inline constexpr std::size_t kMaxJobThreads = 64;
 inline constexpr std::size_t kMaxExamplesPerClass = 1000;
+inline constexpr std::size_t kMaxSamplesPerCategory = 10000;
+inline constexpr std::size_t kMaxWarmupMeasurements = 1000;
 
 /// Everything a tenant controls about one evaluation job.
 struct JobConfig {
@@ -121,7 +125,9 @@ std::vector<std::size_t> dataset_input_shape(const DatasetSpec& spec);
 core::CampaignConfig to_campaign_config(const JobConfig& config);
 
 /// Full JSON round trip for the wire protocol (includes scheduling
-/// fields, unlike canonical_config_json).  Unknown keys are rejected.
+/// fields, unlike canonical_config_json).  Unknown keys are rejected, and
+/// a count or category label that is negative or does not fit its field
+/// throws ValidationError (domain "job") naming the field.
 std::string job_config_to_json(const JobConfig& config);
 JobConfig job_config_from_json(const std::string& json);
 /// Same decoder over an already-parsed document node (how the protocol

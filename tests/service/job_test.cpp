@@ -50,10 +50,14 @@ TEST(JobConfig, AdmissionCapsAreInclusive) {
   config.num_shards = kMaxJobShards;
   config.num_threads = kMaxJobThreads;
   config.dataset.examples_per_class = kMaxExamplesPerClass;
+  config.samples_per_category = kMaxSamplesPerCategory;
+  config.warmup_measurements = kMaxWarmupMeasurements;
   EXPECT_NO_THROW(config.validate());
   for (auto over : {+[](JobConfig& c) { ++c.num_shards; },
                     +[](JobConfig& c) { ++c.num_threads; },
-                    +[](JobConfig& c) { ++c.dataset.examples_per_class; }}) {
+                    +[](JobConfig& c) { ++c.dataset.examples_per_class; },
+                    +[](JobConfig& c) { ++c.samples_per_category; },
+                    +[](JobConfig& c) { ++c.warmup_measurements; }}) {
     JobConfig bad = config;
     over(bad);
     EXPECT_THROW(bad.validate(), ValidationError);
@@ -119,6 +123,36 @@ TEST(JobConfig, JsonRoundTripPreservesEveryField) {
 
 TEST(JobConfig, JsonRejectsUnknownKeys) {
   EXPECT_THROW(job_config_from_json("{\"bogus\":1}"), InvalidArgument);
+}
+
+TEST(JobConfig, JsonRefusesCountsThatWouldWrapOrTruncate) {
+  // A negative count would wrap to 2^64-1 on a size_t cast, and a label
+  // of 2^32 would truncate to 0 on an int cast and pass validation.
+  const std::pair<std::string, std::string> cases[] = {
+      {"samples_per_category", R"({"samples_per_category": -1})"},
+      {"warmup_measurements", R"({"warmup_measurements": -1})"},
+      {"num_shards", R"({"num_shards": -1})"},
+      {"num_threads", R"({"num_threads": -5})"},
+      {"categories", R"({"categories": [0, -1]})"},
+      {"categories", R"({"categories": [4294967296]})"},
+      {"dataset.examples_per_class",
+       R"({"dataset": {"examples_per_class": -1}})"},
+      {"dataset.num_classes", R"({"dataset": {"num_classes": -1}})"},
+      {"dataset.crop", R"({"dataset": {"crop": -12}})"},
+  };
+  for (const auto& [field, json] : cases) {
+    try {
+      (void)job_config_from_json(json);
+      ADD_FAILURE() << "accepted " << json;
+    } catch (const ValidationError& e) {
+      EXPECT_EQ(e.domain(), "job") << json;
+      EXPECT_EQ(e.field(), field) << json;
+    }
+  }
+  const JobConfig edge =
+      job_config_from_json(R"({"categories": [0, 2147483647]})");
+  EXPECT_EQ(edge.categories.back(), 2147483647);
+  EXPECT_THROW(edge.validate(), ValidationError);  // not a label of 10
 }
 
 TEST(MakeDataset, MatchesTinyFixtureCrop) {

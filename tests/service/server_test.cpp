@@ -130,16 +130,18 @@ TEST(EvaluationServer, ValidationRejectionCarriesStructuredCause) {
 
 TEST(EvaluationServer, OversizedJobIsRejectedBeforeAnythingIsBuilt) {
   // A tenant must not be able to make the server mint thousands of rigs
-  // or threads, or synthesise a huge dataset inside submit().  A negative
-  // JSON value wraps to 2^64-1 on the size_t cast and is caught the same
-  // way.  Only admission is exercised: none of these jobs may run.
+  // or threads, synthesise a huge dataset inside submit(), or hold an
+  // executor for millions of measurements.  (A negative JSON count never
+  // gets this far: the decoder refuses it.)  Only admission is
+  // exercised: none of these jobs may run.
   EvaluationServer server(test_server_config("oversized"));
   const std::pair<std::string, std::string> cases[] = {
       {"num_shards", R"({"num_shards": 100000})"},
-      {"num_shards", R"({"num_shards": -1})"},
       {"num_threads", R"({"num_threads": 100000})"},
       {"dataset.examples_per_class",
        R"({"dataset": {"examples_per_class": 100000}})"},
+      {"samples_per_category", R"({"samples_per_category": 1000000})"},
+      {"warmup_measurements", R"({"warmup_measurements": 1000000})"},
   };
   for (const auto& [field, json] : cases) {
     const std::uint64_t id =
