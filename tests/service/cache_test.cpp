@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+
 #include "service/cache.hpp"
 #include "util/error.hpp"
 
@@ -97,6 +101,42 @@ TEST(ResultCache, OverwriteRefreshesEntry) {
 
 TEST(ResultCache, ZeroCapacityIsRejected) {
   EXPECT_THROW(ResultCache cache(0), ValidationError);
+}
+
+TEST(ResultCache, ConcurrentLookupsInsertsAndStatsAgree) {
+  // The server's submit path and its stats verb reach one cache from
+  // different threads.  Two threads insert, look up (their own keys and
+  // the other's) and read stats at once, under LRU pressure; every call
+  // must be counted once, whatever the interleaving.
+  constexpr int kRounds = 500;
+  ResultCache cache(4);
+  std::atomic<std::size_t> hits{0};
+  const auto tenant = [&](const std::string& self, const std::string& other) {
+    for (int i = 0; i < kRounds; ++i) {
+      const std::string config = "c" + std::to_string(i % 8);
+      cache.insert(self, config, kV1, CachedResult{self + config, 1});
+      for (const std::string& model : {self, other}) {
+        const auto hit = cache.lookup(model, config, kV1);
+        if (!hit) continue;
+        ++hits;
+        EXPECT_EQ(hit->report_json, model + config);
+      }
+      const CacheStats stats = cache.stats();
+      EXPECT_LE(stats.entries, 4u);
+      EXPECT_LE(stats.hits + stats.misses, std::size_t{4} * kRounds);
+    }
+  };
+  std::thread a(tenant, "m0", "m1");
+  std::thread b(tenant, "m1", "m0");
+  a.join();
+  b.join();
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.insertions, std::size_t{2} * kRounds);
+  EXPECT_EQ(stats.hits + stats.misses, std::size_t{4} * kRounds);
+  EXPECT_EQ(stats.hits, hits.load());
+  EXPECT_EQ(stats.measurements_saved, stats.hits);
+  EXPECT_EQ(stats.entries, 4u);
 }
 
 }  // namespace
