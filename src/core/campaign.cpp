@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "core/acquisition.hpp"
@@ -178,6 +179,17 @@ struct ShardState {
   std::unique_ptr<nn::InferencePlan> plan;
   nn::Tensor staged;
 
+  // --- Recall memo (about `plan` measured on this shard's own rig) ---
+  /// The instrument, when it is a SimulatedPmu that is its own sink and
+  /// whose workload counts are a pure function of the input
+  /// (SimulatedPmuConfig::workload_counts_are_pure); null otherwise.
+  const hpc::SimulatedPmu* pure_pmu = nullptr;
+  /// Pre-overlay workload counts of every input `plan` has run on
+  /// `pure_pmu`, keyed by the measured example.  Cache counts depend on
+  /// the plan's buffer addresses, so the memo belongs to this work state
+  /// and is consulted only when this shard is its own rig.
+  std::unordered_map<const data::Example*, hpc::CounterSample> recall;
+
   // --- Rig health (about `instrument`, not about this shard's work) ---
   /// Consecutive retry-exhausted slots measured on this rig; reset by
   /// every recorded slot.  Crossing instrument_lost_after declares the
@@ -236,11 +248,18 @@ struct ChunkContext {
 
 /// Measure work-state `work`'s staged input on `rig`'s instrument.  The
 /// two are the same shard in the healthy case and differ under failover.
+/// On a pure rig measuring its own plan, an input seen before is recalled:
+/// its stored workload counts get the overlay read() would draw for `key`.
 hpc::CounterSample raw_measure(ShardState& work, ShardState& rig,
                                const ChunkContext& ctx, std::size_t c,
                                std::size_t s, std::uint64_t key) {
   const auto& pool = ctx.pools[c];
   const data::Example& example = *pool[s % pool.size()];
+  const hpc::SimulatedPmu* pure = &work == &rig ? rig.pure_pmu : nullptr;
+  if (pure) {
+    const auto hit = work.recall.find(&example);
+    if (hit != work.recall.end()) return pure->read_keyed(hit->second, key);
+  }
   nn::image_to_tensor_into(example.image, work.staged);
   hpc::CounterProvider& provider = rig.instrument.provider();
   (void)provider.set_measurement_key(key);
@@ -258,6 +277,7 @@ hpc::CounterSample raw_measure(ShardState& work, ShardState& rig,
     throw;
   }
   provider.stop();
+  if (pure) work.recall.emplace(&example, pure->workload_counts());
   return provider.read();
 }
 
@@ -519,6 +539,10 @@ CampaignResult Campaign::run_internal(const CampaignConfig& cfg,
     shards.push_back(
         std::make_unique<ShardState>(instruments_.create(k, nshards)));
     shards.back()->index = k;
+    const hpc::Instrument& ins = shards.back()->instrument;
+    const auto* pmu = dynamic_cast<const hpc::SimulatedPmu*>(&ins.provider());
+    if (pmu && &ins.sink() == pmu && pmu->config().workload_counts_are_pure())
+      shards.back()->pure_pmu = pmu;
   }
   const std::vector<hpc::HpcEvent> supported =
       sorted_events(shards.front()->instrument.provider().supported_events());

@@ -58,12 +58,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-bool uses_random_replacement(const uarch::HierarchyConfig& h) {
-  return h.l1d.policy == uarch::ReplacementPolicy::kRandom ||
-         h.l2.policy == uarch::ReplacementPolicy::kRandom ||
-         h.llc.policy == uarch::ReplacementPolicy::kRandom;
-}
-
 /// Memory-side component counts of one replayed measurement.
 struct MemPart {
   std::uint64_t memory_cycles = 0;
@@ -87,10 +81,8 @@ struct MemClass {
   std::uint64_t noise_seed = 0;
 
   std::unique_ptr<hpc::SimulatedPmu> pmu;
-  /// Counts are a pure function of the input: cold start erases every
-  /// piece of cross-measurement state this class consumes (no random
-  /// replacement — whose victim RNG survives flushes — and no keyed
-  /// pollution stream).
+  /// Counts are a pure function of the input
+  /// (SimulatedPmuConfig::workload_counts_are_pure on the class's PMU).
   bool cacheable = false;
   std::unordered_map<std::uint64_t, MemPart> cache;
   MemPart out;
@@ -188,8 +180,6 @@ SweepResult Campaign::sweep_internal(const SweepConfig& cfg,
       mc.cold = p.cold_start_per_measurement;
       mc.pollution_period = p.pollution_period;
       mc.noise_seed = p.noise_seed;
-      mc.cacheable = mc.cold && mc.pollution_period == 0 &&
-                     !uses_random_replacement(mc.hierarchy);
       hpc::SimulatedPmuConfig pc;
       pc.hierarchy = mc.hierarchy;
       // The memory replay never emits a conditional branch, so the
@@ -199,6 +189,7 @@ SweepResult Campaign::sweep_internal(const SweepConfig& cfg,
       pc.pollution_period = mc.pollution_period;
       pc.environment = hpc::SimulatedPmuConfig::no_environment();
       pc.noise_seed = mc.noise_seed;
+      mc.cacheable = pc.workload_counts_are_pure();
       mc.pmu = std::make_unique<hpc::SimulatedPmu>(pc);
       mem_classes.push_back(std::move(mc));
       mit = std::prev(mem_classes.end());
@@ -211,11 +202,11 @@ SweepResult Campaign::sweep_internal(const SweepConfig& cfg,
       BrClass bc;
       bc.predictor = p.predictor;
       bc.cold = p.cold_start_per_measurement;
-      bc.cacheable = bc.cold;
       hpc::SimulatedPmuConfig pc;
       pc.predictor = bc.predictor;
       pc.cold_start_per_measurement = bc.cold;
       pc.environment = hpc::SimulatedPmuConfig::no_environment();
+      bc.cacheable = pc.workload_counts_are_pure();
       bc.pmu = std::make_unique<hpc::SimulatedPmu>(pc);
       br_classes.push_back(std::move(bc));
       bit = std::prev(br_classes.end());

@@ -47,6 +47,13 @@ SimulatedPmuConfig::no_environment() {
   return {};
 }
 
+bool SimulatedPmuConfig::workload_counts_are_pure() const {
+  for (const uarch::CacheConfig* level :
+       {&hierarchy.l1d, &hierarchy.l2, &hierarchy.llc})
+    if (level->policy == uarch::ReplacementPolicy::kRandom) return false;
+  return cold_start_per_measurement && pollution_period == 0;
+}
+
 CounterSample assemble_workload_counts(const uarch::CoreModelConfig& core,
                                        const ArchCounts& counts) {
   CounterSample s;
@@ -155,6 +162,13 @@ CounterSample SimulatedPmu::workload_counts() const {
   counts.llc_references = hierarchy().last_level_references();
   counts.llc_misses = hierarchy().last_level_misses();
   return assemble_workload_counts(config_.core, counts);
+}
+
+CounterSample SimulatedPmu::read_keyed(CounterSample workload,
+                                       std::uint64_t key) const {
+  util::Rng rng(util::mix64(config_.noise_seed, key));
+  apply_environment(workload, config_.environment, rng);
+  return workload;
 }
 
 CounterSample SimulatedPmu::read() {

@@ -80,6 +80,16 @@ struct SimulatedPmuConfig {
   /// Zero environment: counters reflect the workload alone (used by unit
   /// tests and the microarchitecture ablations).
   static std::array<EnvironmentSpec, kNumEvents> no_environment();
+
+  /// True when a measurement's workload counts (everything but the
+  /// environment overlay) are a pure function of the traced execution:
+  /// the caches, TLB, predictor and page mapping start cold, no keyed
+  /// pollution stream evicts lines, and no cache level draws random
+  /// victims (that RNG survives flushes).  A caller that measures one
+  /// input on one plan more than once may then reuse its counts — the
+  /// live campaign's recall memo and the sweep's per-input class caches
+  /// both rest on this one rule.
+  bool workload_counts_are_pure() const;
 };
 
 /// Field-wise equality; the sweep engine uses it to deduplicate grid
@@ -175,6 +185,13 @@ class SimulatedPmu final : public CounterProvider,
   /// Architectural counts of the current/last measurement, without the
   /// environment overlay (for tests and ablations).
   CounterSample workload_counts() const;
+
+  /// What read() returns for a measurement under `key` whose workload
+  /// counts are `workload`: the environment overlay drawn from
+  /// Rng(mix64(noise_seed, key)), exactly as start() seeds it.
+  CounterSample read_keyed(CounterSample workload, std::uint64_t key) const;
+
+  const SimulatedPmuConfig& config() const { return config_; }
 
  private:
   SimulatedPmuConfig config_;

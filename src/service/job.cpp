@@ -1,5 +1,6 @@
 #include "service/job.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -139,12 +140,21 @@ void JobConfig::validate() const {
           "job", "dataset.crop",
           "must be in [4, " + std::to_string(full) + "] for " + dataset.kind);
   }
-  for (int cat : categories) {
+  if (categories.size() > kMaxCategories)
+    throw ValidationError("job", "categories",
+                          "must list at most " +
+                              std::to_string(kMaxCategories) + " labels");
+  for (std::size_t i = 0; i < categories.size(); ++i) {
+    const int cat = categories[i];
     if (cat < 0 || static_cast<std::size_t>(cat) >= dataset.num_classes)
       throw ValidationError("job", "categories",
                             "contains label " + std::to_string(cat) +
                                 " outside [0, " +
                                 std::to_string(dataset.num_classes) + ")");
+    if (std::find(categories.begin(), categories.begin() + i, cat) !=
+        categories.begin() + i)
+      throw ValidationError("job", "categories",
+                            "lists label " + std::to_string(cat) + " twice");
   }
   if (!(alpha > 0.0) || !(alpha < 1.0))
     throw ValidationError("job", "alpha", "must be in (0, 1)");

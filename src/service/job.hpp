@@ -66,7 +66,10 @@ struct DatasetSpec {
 /// campaign worker threads, synthesised examples per class (generated
 /// inside submit()), and the measurements one executor spends on the
 /// job.  Every shipped caller uses 1 shard, 1 thread, 8 examples, at
-/// most 100 samples per category and 2 warm-up measurements.
+/// most 100 samples per category, 2 warm-up measurements and four
+/// distinct categories.  kMaxCategories is the most classes any dataset
+/// kind has; it bounds the list before its labels are checked one by one.
+inline constexpr std::size_t kMaxCategories = 10;
 inline constexpr std::size_t kMaxJobShards = 64;
 inline constexpr std::size_t kMaxJobThreads = 64;
 inline constexpr std::size_t kMaxExamplesPerClass = 1000;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/serialize.hpp"
 #include "service/job.hpp"
 #include "tests/core/campaign_helpers.hpp"
@@ -62,6 +64,45 @@ TEST(JobConfig, AdmissionCapsAreInclusive) {
     over(bad);
     EXPECT_THROW(bad.validate(), ValidationError);
   }
+}
+
+void expect_categories_rejected(const JobConfig& config) {
+  try {
+    config.validate();
+    ADD_FAILURE() << "accepted " << config.categories.size()
+                  << " categories";
+  } catch (const ValidationError& e) {
+    EXPECT_EQ(e.domain(), "job");
+    EXPECT_EQ(e.field(), "categories");
+  }
+}
+
+TEST(JobConfig, CategoryListIsCappedAndDistinct) {
+  JobConfig config = tiny_job_config();
+  config.dataset.num_classes = 10;
+  config.categories.clear();
+  for (int label = 0; label < static_cast<int>(kMaxCategories); ++label)
+    config.categories.push_back(label);
+  EXPECT_NO_THROW(config.validate());
+
+  JobConfig longer = config;
+  longer.categories.push_back(0);
+  expect_categories_rejected(longer);
+
+  JobConfig repeated = tiny_job_config();
+  repeated.categories = {0, 1, 2, 1};
+  expect_categories_rejected(repeated);
+}
+
+TEST(JobConfig, RepeatedLabelsCannotInflateTheMeasurementBudget) {
+  // Every count field is capped, so the list length is what would
+  // multiply the budget: 10000 samples x 200000 labels.
+  std::string json = R"({"samples_per_category": 10000, "categories": [0)";
+  for (int i = 1; i < 200000; ++i) json += ",0";
+  json += "]}";
+  const JobConfig config = job_config_from_json(json);
+  ASSERT_EQ(config.categories.size(), 200000u);
+  expect_categories_rejected(config);
 }
 
 TEST(JobConfig, RejectsOutOfRangeCategory) {

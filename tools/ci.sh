@@ -193,7 +193,7 @@ else
      cc -fsanitize=thread -x c - -o /dev/null 2>/dev/null; then
     echo "==> running concurrency tests under thread sanitizer"
     "$SRC_DIR/tools/run_sanitized_tests.sh" "thread" "${BUILD_DIR}-tsan" \
-      'ThreadPool|CampaignParallel|FixedVsRandom|FvrSupervision|Sweep|Supervision|EvaluationServer|Socket|Protocol|CancelToken|ResultCache'
+      'ThreadPool|CampaignParallel|CampaignRecall|FixedVsRandom|FvrSupervision|Sweep|Supervision|EvaluationServer|Socket|Protocol|CancelToken|ResultCache'
   else
     echo "==> toolchain lacks libtsan: skipping TSan stage"
   fi
